@@ -18,7 +18,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.experiments.runner as runner_mod
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_point, run_sweep
 from repro.parallel import MIN_SHARD_SIZE, ShardPlan
@@ -83,7 +82,7 @@ def test_tiny_inputs_fall_back_to_serial(monkeypatch):
             constructed.append(args)
             raise AssertionError("WorkerPool built for a serial-size input")
 
-    monkeypatch.setattr(runner_mod, "WorkerPool", NoPool)
+    monkeypatch.setattr("repro.cluster.backend.WorkerPool", NoPool)
     wf = generate("montage", 15, rng=9, sigma_ratio=0.5)
     records = run_point(
         wf, PAPER_PLATFORM, "heft_budg", 2.0, n_reps, 9, workers=4

@@ -1,89 +1,71 @@
 """The coordinator side of the cluster fabric: :class:`ClusterPool`.
 
-``ClusterPool`` exposes the same ordered-``map`` surface as
-:class:`repro.parallel.WorkerPool`, so every call site that shards work
-over local processes can shard it over machines instead — and because
-the ShardPlan contract makes results a pure function of the shard (never
-of who computed it), the merged output is **bit-identical to serial no
-matter which node computed which shard, in what order, or how many times**.
+``ClusterPool`` is the socket transport of the dispatcher that also runs
+:class:`repro.parallel.WorkerPool` (:mod:`repro.parallel.dispatch`), so
+any call site that shards work over local processes can shard it over
+machines instead. Shard results are a pure function of the shard, so the
+merged output is **bit-identical to serial no matter which node computed
+which shard, in what order, or how many times**. The transport adds:
 
-PR 5's crash/respawn semantics generalise to node loss:
-
-* **liveness** — every worker streams heartbeats; a node whose
-  connection drops *or* whose heartbeats go stale past
-  ``heartbeat_timeout`` is declared lost (a wedged node is handled
-  exactly like a dead one);
-* **reassignment** — a lost node's in-flight shards are requeued onto
-  the survivors, one attempt each, up to ``max_retries`` per shard;
-  exhaustion raises :class:`~repro.errors.WorkerCrashError` with the
-  affected shard indices, exactly like a local pool crash;
-* **work stealing** — once the queue drains, an idle node duplicates the
-  longest-in-flight shard of a slow peer (after ``steal_after_s``);
-  the first result wins and late duplicates are suppressed, which is
-  safe precisely because shard results are deterministic;
-* **bounded in-flight** — each node holds at most ``2 × slots`` shards,
-  so a thousand-cell sweep is never pickled onto the wire up front.
+* **liveness**: a node whose connection drops *or* whose heartbeats go
+  stale past ``heartbeat_timeout`` is lost (a wedged node is handled
+  exactly like a dead one), and its in-flight shards are reassigned;
+* **work stealing**: once the queue drains, an idle node duplicates the
+  longest-in-flight shard of a slow peer (after ``steal_after_s``); the
+  first result wins, which is safe because shard results are
+  deterministic;
+* **deadlines**: a remote thread cannot be cancelled, so an expired
+  map's late results are dropped and the slot frees when they arrive.
 
 Observability: ``node.joined`` / ``node.lost`` / ``shard.reassigned``
-events on the wired :class:`~repro.obs.events.EventBus`,
-``cluster_reassignments`` (+ the pool-parity ``worker_tasks`` /
-``worker_task_seconds``) metrics, and worker span payloads merged into
-the caller's live trace via the PR 7 ``export_payload`` path.
+events, the ``cluster_reassignments`` metric, and everything the
+dispatcher records.
 """
 
 from __future__ import annotations
 
-import itertools
-import queue
 import socket
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ClusterError, ClusterProtocolError, WorkerCrashError
+from ..errors import ClusterError, ClusterProtocolError
 from ..obs.events import NODE_JOINED, NODE_LOST, SHARD_REASSIGNED
-from ..obs.tracing import get_tracer
+from ..parallel.dispatch import Dispatcher, Endpoint
 from . import protocol
 
 __all__ = ["ClusterPool"]
 
 NodeSpec = Union[str, Tuple[str, int]]
 
+#: Seconds allowed for the TCP connect and the handshake with one node.
+CONNECT_TIMEOUT_S = 10.0
 
-class _Node:
+
+class _Node(Endpoint):
     """One connected worker node (internal)."""
 
     def __init__(
         self, address: str, sock: socket.socket, *, pid: int, slots: int
     ) -> None:
-        self.address = address
+        super().__init__(address, pid=pid, slots=slots)
         self.sock = sock
-        self.pid = pid
-        self.slots = slots
-        self.alive = True
-        self.last_seen = time.time()
-        self.tasks = 0
-        self.busy_s = 0.0
-        self.inflight: Set[int] = set()  # task_ids currently on this node
         self._write_lock = threading.Lock()
 
-    def send(self, frame: Dict[str, Any]) -> bool:
+    def write(self, data: bytes) -> None:
         with self._write_lock:
-            try:
-                protocol.send_frame(self.sock, frame)
-                return True
-            except OSError:
-                return False
+            self.sock.sendall(data)
 
-    def close(self) -> None:
+    def hang_up(self) -> None:
+        """Drop the connection, waking the reader thread."""
         try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
             pass
+        self.sock.close()
 
 
-class ClusterPool:
+class ClusterPool(Dispatcher):
     """Dispatch shards to remote ``repro-exp worker`` nodes.
 
     Parameters
@@ -108,7 +90,12 @@ class ClusterPool:
         events.
     token:
         Shared handshake token (must match the workers').
+
+    :attr:`n_crashes` counts node losses; :attr:`n_respawns` stays 0
+    because the pool never reconnects.
     """
+
+    _noun = "node"
 
     def __init__(
         self,
@@ -116,52 +103,28 @@ class ClusterPool:
         *,
         max_retries: int = 2,
         heartbeat_timeout: float = 10.0,
-        connect_timeout: float = 10.0,
         steal_after_s: Optional[float] = 30.0,
         metrics: Optional[Any] = None,
         events: Optional[Any] = None,
         token: Optional[str] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        super().__init__(max_retries=max_retries, metrics=metrics, events=events)
         specs = self._parse_specs(nodes)
         if not specs:
             raise ClusterError("ClusterPool needs at least one node")
-        self.max_retries = max_retries
         self.heartbeat_timeout = heartbeat_timeout
         self.steal_after_s = steal_after_s
-        self._metrics = metrics
-        self._events = events
+        self._poll_s = max(0.05, min(1.0, heartbeat_timeout / 4.0))
         self._token = token
-        self._closed = False
-        self._lock = threading.Lock()
-        self._queue: "queue.Queue[Tuple[str, _Node, Optional[dict]]]" = (
-            queue.Queue()
-        )
-        self._task_ids = itertools.count(1)
-        self.n_crashes = 0  # node losses, for WorkerPool attr parity
-        self.n_respawns = 0  # the pool never reconnects; documented
-        self.n_reassignments = 0
-        self._nodes: List[_Node] = []
         try:
             for host, port in specs:
-                self._nodes.append(
-                    self._connect(host, port, timeout=connect_timeout)
-                )
+                self._add_endpoint(self._connect(host, port), self._read_loop)
         except Exception:
             self.close()
             raise
         #: Total advertised slots — drives ShardPlan sizing, mirroring
         #: ``WorkerPool.workers``.
-        self.workers = sum(node.slots for node in self._nodes)
-        for node in self._nodes:
-            thread = threading.Thread(
-                target=self._receive_loop,
-                args=(node,),
-                name=f"repro-cluster-recv-{node.address}",
-                daemon=True,
-            )
-            thread.start()
+        self.workers = sum(node.slots for node in self._endpoints)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -171,24 +134,19 @@ class ClusterPool:
         nodes: Union[str, Sequence[NodeSpec]]
     ) -> List[Tuple[str, int]]:
         if isinstance(nodes, str):
-            parts: Sequence[NodeSpec] = [
-                part for part in nodes.split(",") if part.strip()
-            ]
-        else:
-            parts = nodes
-        specs: List[Tuple[str, int]] = []
-        for part in parts:
-            if isinstance(part, str):
-                specs.append(protocol.parse_address(part))
-            else:
-                host, port = part
-                specs.append((host, int(port)))
-        return specs
+            nodes = [part for part in nodes.split(",") if part.strip()]
+        return [
+            protocol.parse_address(part) if isinstance(part, str)
+            else (part[0], int(part[1]))
+            for part in nodes
+        ]
 
-    def _connect(self, host: str, port: int, *, timeout: float) -> _Node:
+    def _connect(self, host: str, port: int) -> _Node:
         address = f"{host}:{port}"
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
+            sock = socket.create_connection(
+                (host, port), timeout=CONNECT_TIMEOUT_S
+            )
         except OSError as exc:
             raise ClusterError(
                 f"cannot connect to worker node {address}: {exc}"
@@ -212,10 +170,7 @@ class ClusterPool:
             ) from exc
         sock.settimeout(None)
         node = _Node(
-            address,
-            sock,
-            pid=int(welcome["pid"]),
-            slots=int(welcome["slots"]),
+            address, sock, pid=int(welcome["pid"]), slots=int(welcome["slots"])
         )
         if self._events is not None:
             self._events.publish(
@@ -223,372 +178,101 @@ class ClusterPool:
             )
         return node
 
-    # ------------------------------------------------------------------
-    # receiver threads
-
-    def _receive_loop(self, node: _Node) -> None:
+    def _read_loop(self, node: _Node) -> None:
+        reason = "connection closed"
         while True:
             try:
                 frame = protocol.recv_frame(node.sock)
             except (ClusterProtocolError, OSError):
-                frame = None
+                break
             if frame is None or frame.get("type") == "bye":
-                # Mark the node dead right here so liveness surfaces
-                # (health endpoints, alive_count) see the loss even when
-                # no map() is draining the queue; the queued "lost" item
-                # still drives in-flight reclamation inside an active map.
-                self._mark_lost(node, "connection closed", None)
-                self._queue.put(("lost", node, None))
-                return
+                break
             node.last_seen = time.time()
             kind = frame.get("type")
-            if kind in ("result", "error"):
-                self._queue.put((kind, node, frame))
-            # heartbeats only refresh last_seen
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    def _alive(self) -> List[_Node]:
-        return [node for node in self._nodes if node.alive]
-
-    @property
-    def alive_count(self) -> int:
-        """Number of nodes currently believed alive."""
-        return len(self._alive())
-
-    def worker_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-node snapshot keyed by ``host:port``.
-
-        Mirrors :meth:`WorkerPool.worker_stats` (``tasks`` / ``busy_s`` /
-        ``last_seen``) and adds node identity: ``pid``, ``slots``,
-        ``alive``, ``inflight``.
-        """
-        return {
-            node.address: {
-                "tasks": node.tasks,
-                "busy_s": node.busy_s,
-                "last_seen": node.last_seen,
-                "pid": node.pid,
-                "slots": node.slots,
-                "alive": node.alive,
-                "inflight": len(node.inflight),
-            }
-            for node in self._nodes
-        }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def close(self) -> None:
-        """Say goodbye to every node and drop the connections; idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        for node in getattr(self, "_nodes", []):
-            if node.alive:
-                node.send(protocol.bye_frame("coordinator closing"))
-            node.alive = False
-            node.close()
-
-    def __enter__(self) -> "ClusterPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # execution
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        item: Any,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Run one ``fn(item)`` on some node (single-item :meth:`map`)."""
-        (result,) = self.map(fn, [item], timeout=timeout)
-        return result
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        timeout: Optional[float] = None,
-    ) -> List[Any]:
-        """Run ``fn`` over ``items`` across the cluster, results in order.
-
-        Exceptions raised by ``fn`` propagate unchanged — they are the
-        item's answer and are never retried; only node loss triggers
-        reassignment. The first result per item wins; duplicates from
-        stolen or reassigned dispatches are suppressed, so merges stay
-        bit-identical to serial.
-        """
-        if self._closed:
-            raise RuntimeError("ClusterPool is closed")
-        n_items = len(items)
-        if n_items == 0:
-            return []
-        state = _MapState(n_items)
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        parent_tracer = get_tracer()
-        trace_ctx: Optional[Dict[str, Any]] = None
-        merge_parent_id: Optional[int] = None
-        if parent_tracer.enabled:
-            trace_ctx = {"trace_id": parent_tracer.trace_id}
-            merge_parent_id = parent_tracer.current_span_id()
-
-        poll_s = max(0.05, min(1.0, self.heartbeat_timeout / 4.0))
-        while state.n_done < n_items:
-            alive = self._alive()
-            if not alive:
-                raise WorkerCrashError(
-                    "all cluster nodes lost; "
-                    f"{n_items - state.n_done} shard(s) unfinished",
-                    shard_indices=tuple(
-                        i for i in range(n_items) if not state.done[i]
-                    ),
-                )
-            self._dispatch(fn, items, state, alive, trace_ctx)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"ClusterPool.map timed out with "
-                        f"{len(state.dispatches)} in-flight and "
-                        f"{len(state.pending)} queued items"
-                    )
-            try:
-                kind, node, frame = self._queue.get(
-                    timeout=poll_s if remaining is None
-                    else min(poll_s, remaining)
-                )
-            except queue.Empty:
-                self._check_heartbeats(state)
-                continue
-            if kind == "lost":
-                self._mark_lost(node, "connection closed", state)
-            elif kind == "result":
-                self._handle_result(
-                    node, frame, state, parent_tracer, merge_parent_id
+            task_id = frame.get("task_id")
+            if kind == "result":
+                try:
+                    ok, value = True, protocol.decode_payload(frame["payload"])
+                except ClusterProtocolError as exc:
+                    ok, value = False, exc
+                self._complete(
+                    node, task_id, ok, value,
+                    float(frame.get("elapsed_s", 0.0)), frame.get("trace"),
                 )
             elif kind == "error":
-                self._handle_error(node, frame, state)
-            self._check_heartbeats(state)
-        return state.results
+                exc = protocol.decode_exception(frame.get("exception", {}))
+                if frame.get("kind") == "protocol" or task_id is None:
+                    reason = f"protocol error: {exc}"
+                    break
+                self._complete(node, task_id, False, exc, 0.0, None)
+            # heartbeats only refresh last_seen
+        self._remove_endpoint(node, reason)
 
     # ------------------------------------------------------------------
-    # map internals
+    # dispatcher hooks
 
-    def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        state: "_MapState",
-        alive: List[_Node],
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> None:
-        for node in alive:
-            while state.pending and len(node.inflight) < 2 * node.slots:
-                index = state.pending.popleft()
-                if state.done[index]:
-                    continue
-                if not self._send_shard(
-                    fn, items, index, node, state, trace_ctx
-                ):
-                    state.pending.appendleft(index)
-                    self._mark_lost(node, "send failed", state)
-                    break
-        if not state.pending and self.steal_after_s is not None:
-            self._steal(fn, items, state, trace_ctx)
-
-    def _send_shard(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        index: int,
-        node: _Node,
-        state: "_MapState",
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> bool:
-        payload = state.payloads.get(index)
-        if payload is None:
-            payload = protocol.encode_payload((fn, items[index]))
-            state.payloads[index] = payload
-        task_id = next(self._task_ids)
-        frame = protocol.shard_frame(task_id, payload, trace=trace_ctx)
-        if not node.send(frame):
-            return False
-        node.inflight.add(task_id)
-        state.dispatches[task_id] = (index, node, time.monotonic())
-        state.active_by_index.setdefault(index, set()).add(task_id)
-        state.nodes_by_index.setdefault(index, set()).add(node.address)
-        return True
-
-    def _steal(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        state: "_MapState",
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> None:
-        """Duplicate the oldest slow shard onto an idle node."""
-        now = time.monotonic()
-        idle = [
-            node for node in self._alive() if not node.inflight
-        ]
-        if not idle:
-            return
-        candidates = sorted(
-            (
-                (sent, index)
-                for task_id, (index, _node, sent) in state.dispatches.items()
-                if not state.done[index]
-                and len(state.active_by_index.get(index, ())) == 1
-                and now - sent >= (self.steal_after_s or 0.0)
-            ),
+    def _encode(self, task_id: int, fn: Callable[[Any], Any], item: Any,
+                trace_ctx: Optional[Dict[str, Any]]) -> bytes:
+        payload = protocol.encode_payload((fn, item))
+        return protocol.encode_frame(
+            protocol.shard_frame(task_id, payload, trace=trace_ctx)
         )
-        for node in idle:
-            for sent, index in candidates:
-                if node.address in state.nodes_by_index.get(index, ()):
-                    continue
-                if len(state.active_by_index.get(index, ())) != 1:
-                    continue
-                self._send_shard(fn, items, index, node, state, trace_ctx)
-                break
 
-    def _handle_result(
-        self,
-        node: _Node,
-        frame: Dict[str, Any],
-        state: "_MapState",
-        parent_tracer: Any,
-        merge_parent_id: Optional[int],
-    ) -> None:
-        task_id = frame.get("task_id")
-        node.inflight.discard(task_id)
-        entry = state.dispatches.pop(task_id, None)
-        if entry is None:
-            return  # stale frame from an earlier map / late duplicate
-        index, _node, _sent = entry
-        state.active_by_index.get(index, set()).discard(task_id)
-        elapsed = float(frame.get("elapsed_s", 0.0))
-        node.tasks += 1
-        node.busy_s += elapsed
-        if self._metrics is not None:
-            self._metrics.incr("worker_tasks")
-            self._metrics.observe("worker_task_seconds", elapsed)
-        if state.done[index]:
-            return  # a duplicate finished second: suppressed
-        trace = frame.get("trace")
-        if trace is not None and parent_tracer.enabled:
-            parent_tracer.merge_payload(
-                trace, parent_id=merge_parent_id, worker_pid=node.pid
+    def _poll(self) -> None:
+        stale_before = time.time() - self.heartbeat_timeout
+        for node in self._live():
+            if node.last_seen < stale_before:
+                self._remove_endpoint(node, "heartbeat stale")
+
+    def _steal(self, call: Any) -> None:
+        """Duplicate the oldest slow shard of ``call`` onto an idle node."""
+        if self.steal_after_s is None:
+            return
+        now = time.monotonic()
+        with self._cond:
+            idle = [node for node in self._live() if not node.inflight]
+            candidates = sorted(
+                (sent, index)
+                for index, _node, sent in call.dispatches.values()
+                if not call.done[index]
+                and call.copies(index) == 1
+                and now - sent >= self.steal_after_s
             )
-        state.results[index] = protocol.decode_payload(frame["payload"])
-        state.done[index] = True
-        state.n_done += 1
+        # An idle node holds nothing, so it never already holds a candidate.
+        for node in idle:
+            for _sent, index in candidates:
+                if call.copies(index) == 1:
+                    self._send_shard(
+                        call.fn, call.items, index, node, call, call.trace_ctx
+                    )
+                    break
 
-    def _handle_error(
-        self, node: _Node, frame: Dict[str, Any], state: "_MapState"
-    ) -> None:
-        task_id = frame.get("task_id")
-        exc = protocol.decode_exception(frame.get("exception", {}))
-        if frame.get("kind") == "protocol" or task_id is None:
-            self._mark_lost(node, f"protocol error: {exc}", state)
-            return
-        node.inflight.discard(task_id)
-        entry = state.dispatches.pop(task_id, None)
-        if entry is None:
-            return
-        index, _node, _sent = entry
-        state.active_by_index.get(index, set()).discard(task_id)
-        if state.done[index]:
-            return
-        # fn raised: that is the item's answer, never retried.
-        raise exc
-
-    def _mark_lost(
-        self, node: _Node, reason: str, state: Optional["_MapState"]
-    ) -> None:
-        # close() sends bye and the worker hangs up, so the receive
-        # thread's EOF races the alive=False flip below: a goodbye we
-        # initiated must never be counted (or published) as a node loss.
-        newly_lost = node.alive and not self._closed
-        if newly_lost:
-            node.alive = False
-            node.close()
-            self.n_crashes += 1
-            if self._events is not None:
-                self._events.publish(
-                    NODE_LOST,
-                    node=node.address,
-                    pid=node.pid,
-                    reason=reason,
-                    inflight=len(node.inflight),
-                )
-        if state is None:
-            return
-        orphans = [
-            task_id
-            for task_id, (_i, owner, _sent) in state.dispatches.items()
-            if owner is node
-        ]
-        exhausted: List[int] = []
-        for task_id in orphans:
-            index, _owner, _sent = state.dispatches.pop(task_id)
-            node.inflight.discard(task_id)
-            active = state.active_by_index.get(index, set())
-            active.discard(task_id)
-            if state.done[index] or active:
-                continue  # answered, or a duplicate is still running
-            state.attempts[index] += 1
-            if state.attempts[index] > self.max_retries:
-                exhausted.append(index)
+    def _on_lost(self, ep: _Node, reason: str,
+                 orphans: List[Tuple[Any, int]]) -> None:
+        ep.hang_up()
+        if self._events is not None:
+            self._events.publish(
+                NODE_LOST, node=ep.address, pid=ep.pid, reason=reason,
+                inflight=len(orphans),
+            )
+        for call, index in orphans:
+            attempt = call.attempts[index]
+            if attempt > self.max_retries:
                 continue
-            state.pending.append(index)
-            self.n_reassignments += 1
             if self._metrics is not None:
                 self._metrics.incr("cluster_reassignments")
             if self._events is not None:
                 self._events.publish(
-                    SHARD_REASSIGNED,
-                    shard_index=index,
-                    from_node=node.address,
-                    attempt=state.attempts[index],
+                    SHARD_REASSIGNED, shard_index=index,
+                    from_node=ep.address, attempt=attempt,
                 )
-        if exhausted:
-            raise WorkerCrashError(
-                f"node {node.address} lost and {len(exhausted)} shard(s) "
-                f"exhausted {self.max_retries} retries",
-                shard_indices=tuple(sorted(exhausted)),
-            )
 
-    def _check_heartbeats(self, state: "_MapState") -> None:
-        stale_before = time.time() - self.heartbeat_timeout
-        for node in self._nodes:
-            if node.alive and node.last_seen < stale_before:
-                self._mark_lost(node, "heartbeat stale", state)
-
-
-class _MapState:
-    """Book-keeping of one :meth:`ClusterPool.map` call (internal)."""
-
-    def __init__(self, n_items: int) -> None:
-        self.results: List[Any] = [None] * n_items
-        self.done = [False] * n_items
-        self.attempts = [0] * n_items
-        self.pending: deque = deque(range(n_items))
-        self.n_done = 0
-        # task_id -> (item index, node, dispatch time)
-        self.dispatches: Dict[int, Tuple[int, _Node, float]] = {}
-        # item index -> task_ids currently in flight for it
-        self.active_by_index: Dict[int, Set[int]] = {}
-        # item index -> node addresses that ever held it (steal targets)
-        self.nodes_by_index: Dict[int, Set[str]] = {}
-        # item index -> encoded payload (reused on reassignment)
-        self.payloads: Dict[int, str] = {}
+    def _shutdown(self, endpoints: List[_Node]) -> None:
+        bye = protocol.encode_frame(protocol.bye_frame("coordinator closing"))
+        for node in endpoints:
+            try:
+                node.write(bye)
+            except OSError:
+                pass
+            node.outbox.put(None)
+            node.hang_up()

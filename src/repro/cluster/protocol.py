@@ -53,6 +53,7 @@ from ..parallel import Shard, ShardStats
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "encode_frame",
     "send_frame",
     "recv_frame",
     "encode_payload",
@@ -90,14 +91,19 @@ _LENGTH = struct.Struct("!I")
 # framing
 
 
-def send_frame(sock: socket.socket, frame: Dict[str, Any]) -> None:
-    """Serialise ``frame`` as JSON and write it length-prefixed."""
+def encode_frame(frame: Dict[str, Any]) -> bytes:
+    """Serialise ``frame`` as length-prefixed JSON, ready for the wire."""
     body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
         )
-    sock.sendall(_LENGTH.pack(len(body)) + body)
+    return _LENGTH.pack(len(body)) + body
+
+
+def send_frame(sock: socket.socket, frame: Dict[str, Any]) -> None:
+    """Write one frame (:func:`encode_frame`) to ``sock``."""
+    sock.sendall(encode_frame(frame))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:

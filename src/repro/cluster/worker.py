@@ -1,18 +1,12 @@
 """The long-lived cluster worker node (``repro-exp worker``).
 
 A :class:`ClusterWorker` binds a listening socket and serves shard frames
-from any number of coordinator connections. Execution follows the PR 5
-fork-hygiene rules, generalised to a freestanding process:
-
-* on startup the process-global ledger and tracer are reset to their
-  null implementations — a worker node computes and returns values, the
-  coordinator records, in serial order;
-* a shard that arrives with a ``trace`` context runs under a worker-local
-  :class:`~repro.obs.tracing.Tracer` sharing the coordinator's
-  ``trace_id``; its span/counter payload rides back in the ``result``
-  frame so the coordinator can merge it into one request trace
-  (the PR 7 ``export_payload`` path, across machines instead of forks);
-* untraced shards pay nothing.
+from any number of coordinator connections. On startup it resets the
+process-global ledger and tracer (the coordinator records), and it runs
+each shard through the worker-side wrapper local pool workers use
+(:func:`repro.parallel.dispatch.invoke`): a shard with a ``trace``
+context runs under a worker-local tracer whose span payload rides back
+in the ``result`` frame; untraced shards pay nothing.
 
 Each connection gets a heartbeat thread streaming liveness + cumulative
 load every ``heartbeat_s`` seconds; the coordinator declares a node lost
@@ -28,45 +22,14 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ClusterProtocolError
-from ..obs.tracing import Tracer, use_tracer
+from ..parallel.dispatch import invoke, reset_process_globals
 from . import protocol
 
 __all__ = ["ClusterWorker"]
-
-
-def _reset_process_globals() -> None:
-    """Apply the fork-hygiene rules to this freestanding process."""
-    from ..obs.ledger import set_ledger
-    from ..obs.tracing import set_tracer
-
-    set_ledger(None)
-    set_tracer(None)
-
-
-def _execute_shard(
-    frame: Dict[str, Any],
-) -> Tuple[str, float, Optional[Dict[str, Any]]]:
-    """Run one shard frame; returns (result payload, elapsed, trace)."""
-    fn, item = protocol.decode_payload(frame["payload"])
-    trace_ctx = frame.get("trace")
-    start = time.perf_counter()
-    if trace_ctx is None:
-        result = fn(item)
-        return (
-            protocol.encode_payload(result),
-            time.perf_counter() - start,
-            None,
-        )
-    tracer = Tracer(trace_id=trace_ctx.get("trace_id"))
-    with use_tracer(tracer):
-        result = fn(item)
-    elapsed = time.perf_counter() - start
-    return protocol.encode_payload(result), elapsed, tracer.export_payload()
 
 
 class ClusterWorker:
@@ -127,7 +90,7 @@ class ClusterWorker:
 
     def start(self) -> Tuple[str, int]:
         """Bind, listen, and start accepting connections; returns address."""
-        _reset_process_globals()
+        reset_process_globals()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
@@ -151,26 +114,18 @@ class ClusterWorker:
         if self._closed.is_set():
             return
         self._closed.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._executor.shutdown(wait=False)
-        # Drop live connections too: their frame loops block in recv and
-        # would otherwise outlive the worker, leaving coordinators to
-        # discover the death only via heartbeat staleness.
+        # shutdown() wakes a thread blocked in accept() or recv(); a bare
+        # close() would leave it blocked. Dropping live connections lets
+        # coordinators see the death at once, not via heartbeat staleness.
         with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
+            sockets = [self._listener, *self._conns]
+        for sock in filter(None, sockets):
             try:
-                conn.shutdown(socket.SHUT_RDWR)
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            sock.close()
+        self._executor.shutdown(wait=False)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
 
@@ -214,41 +169,30 @@ class ClusterWorker:
                 except OSError:
                     return False
 
-        try:
-            hello = protocol.recv_frame(conn)
-            protocol.check_handshake(
-                hello, expect="hello", token=self._token
-            )
-        except ClusterProtocolError as exc:
-            send(protocol.error_frame(None, exc, kind="protocol"))
-            conn.close()
-            with self._lock:
-                self._conns.discard(conn)
-            return
-        send(
-            protocol.welcome_frame(
-                pid=os.getpid(), slots=self.slots, host=self._host
-            )
-        )
         stop_heartbeat = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(send, stop_heartbeat),
-            name="repro-cluster-heartbeat",
-            daemon=True,
-        )
-        heartbeat.start()
         try:
+            try:
+                protocol.check_handshake(
+                    protocol.recv_frame(conn), expect="hello", token=self._token
+                )
+            except (ClusterProtocolError, OSError) as exc:
+                send(protocol.error_frame(None, exc, kind="protocol"))
+                return
+            send(protocol.welcome_frame(
+                pid=os.getpid(), slots=self.slots, host=self._host
+            ))
+            threading.Thread(
+                target=self._heartbeat_loop,
+                args=(send, stop_heartbeat),
+                name="repro-cluster-heartbeat",
+                daemon=True,
+            ).start()
             self._frame_loop(conn, send)
         finally:
             stop_heartbeat.set()
-            heartbeat.join(timeout=2.0)
             with self._lock:
                 self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            conn.close()
 
     def _heartbeat_loop(self, send: Any, stop: threading.Event) -> None:
         while not stop.wait(self.heartbeat_s):
@@ -287,8 +231,6 @@ class ClusterWorker:
                     with self._lock:
                         self.n_inflight -= 1
                     return
-            elif kind == "heartbeat":  # pragma: no cover - not sent today
-                continue
             else:
                 send(
                     protocol.error_frame(
@@ -302,18 +244,17 @@ class ClusterWorker:
     def _run_shard(self, frame: Dict[str, Any], send: Any) -> None:
         task_id = frame.get("task_id")
         try:
-            payload, elapsed, trace = _execute_shard(frame)
+            fn, item = protocol.decode_payload(frame["payload"])
+            result, elapsed, trace = invoke(fn, item, frame.get("trace"))
+            reply = protocol.result_frame(
+                task_id, protocol.encode_payload(result),
+                elapsed_s=elapsed, trace=trace,
+            )
         except BaseException as exc:  # noqa: BLE001 - shipped to caller
-            with self._lock:
-                self.n_inflight -= 1
-            send(protocol.error_frame(task_id, exc, kind="task"))
-            return
+            elapsed, reply = None, protocol.error_frame(task_id, exc, kind="task")
         with self._lock:
             self.n_inflight -= 1
-            self.tasks_done += 1
-            self.busy_s += elapsed
-        send(
-            protocol.result_frame(
-                task_id, payload, elapsed_s=elapsed, trace=trace
-            )
-        )
+            if elapsed is not None:
+                self.tasks_done += 1
+                self.busy_s += elapsed
+        send(reply)

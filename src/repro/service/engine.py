@@ -916,14 +916,13 @@ class SchedulingService:
         # so the configured size is the live count.
         worker_count = self.max_workers
         if self._proc_pool is not None:
-            worker_stats = self._proc_pool.worker_stats()
-            if self.executor == "cluster":
-                # A lost node keeps its (dead) entry for observability;
-                # only nodes still believed alive count toward readiness.
-                worker_stats = {
-                    addr: s for addr, s in worker_stats.items()
-                    if s.get("alive", True)
-                }
+            # A lost node or a replaced worker process keeps its (dead)
+            # entry for observability; only live ones count toward
+            # readiness.
+            worker_stats = {
+                addr: s for addr, s in self._proc_pool.worker_stats().items()
+                if s["alive"]
+            }
             worker_count = len(worker_stats)
             workers_alive = bool(worker_stats)
             if worker_stats:

@@ -72,6 +72,19 @@ class TestConfigure:
         get_logger("unit").info("once")
         assert buf.getvalue().count("once") == 1
 
+    def test_default_handler_follows_swapped_stderr(self, monkeypatch):
+        # A server or a test may replace sys.stderr after logging is
+        # configured (and close the old one); lines must reach the new one.
+        configure_logging(level="info")
+        old = io.StringIO()
+        monkeypatch.setattr("sys.stderr", old)
+        get_logger("unit").info("first")
+        old.close()
+        new = io.StringIO()
+        monkeypatch.setattr("sys.stderr", new)
+        get_logger("unit").info("second")
+        assert "repro.unit: second" in new.getvalue()
+
     def test_does_not_propagate_to_root(self):
         configure_logging(level="info", stream=io.StringIO())
         assert logging.getLogger(ROOT_LOGGER_NAME).propagate is False
