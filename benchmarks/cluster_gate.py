@@ -41,7 +41,7 @@ from repro.cluster import ClusterPool  # noqa: E402
 from repro.experiments import runner as runner_mod  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import run_sweep  # noqa: E402
-from repro.obs.ledger import RunLedger, baseline_from_ledger, use_ledger  # noqa: E402
+from repro.obs.ledger import RUN_GATE, RunLedger, use_ledger  # noqa: E402
 from repro.service.engine import SchedulingService  # noqa: E402
 
 
@@ -255,7 +255,7 @@ def main(argv=None):
         kill = check_kill_node(failures)
         service = check_service_health(failures)
         with RunLedger(ledger_path) as ledger:
-            baseline = baseline_from_ledger(ledger)
+            baseline = RUN_GATE.baseline(ledger)
     finally:
         if tmp is not None:
             os.unlink(tmp.name)

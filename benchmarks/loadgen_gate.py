@@ -40,7 +40,7 @@ sys.path.insert(
 from repro.loadgen import ArrivalConfig, Dashboard, LoadDriver  # noqa: E402
 from repro.loadgen import generate_sequence, sequence_fingerprint  # noqa: E402
 from repro.loadgen.report import render_load_report  # noqa: E402
-from repro.obs.ledger import RunLedger, load_baseline_from_ledger  # noqa: E402
+from repro.obs.ledger import LOAD_GATE, RunLedger  # noqa: E402
 from repro.service.engine import SchedulingService  # noqa: E402
 from repro.service.http import start_gateway  # noqa: E402
 
@@ -283,7 +283,7 @@ def main(argv=None):
                         f"load_run #{row.load_id} has incomplete stage "
                         "sums"
                     )
-            baseline = load_baseline_from_ledger(ledger)
+            baseline = LOAD_GATE.baseline(ledger)
         # Only the paced live replay is machine-independent (achieved
         # rate tracks the plan, not the host): the unpaced big replay's
         # throughput/p99 measure raw host speed and would flap across

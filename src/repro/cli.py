@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     _db_flag(l_reg)
     l_reg.add_argument("--baseline", required=True,
                        help="BENCH_*.json file with a ledger_baseline key")
-    l_reg.add_argument("--threshold", type=float, default=0.10,
+    l_reg.add_argument("--threshold", dest="makespan_threshold",
+                       type=float, default=0.10,
                        help="fractional makespan slowdown tolerated "
                        "(default: 0.10)")
     l_reg.add_argument("--cost-threshold", type=float, default=0.10,
@@ -976,16 +977,7 @@ def _run_ledger(args: argparse.Namespace) -> int:
     """The ``ledger`` subcommand group: archive, query, gate."""
     import json
 
-    from .obs.ledger import (
-        RunLedger,
-        baseline_from_ledger,
-        compare_load_to_baseline,
-        compare_to_baseline,
-        extract_baseline,
-        extract_load_baseline,
-        load_baseline_from_ledger,
-        use_ledger,
-    )
+    from .obs.ledger import GATES, RunLedger, use_ledger
 
     cmd = args.ledger_command
     if cmd == "sweep":
@@ -1061,25 +1053,21 @@ def _run_ledger(args: argparse.Namespace) -> int:
             return 0
 
         if cmd == "baseline":
-            baseline = baseline_from_ledger(
-                ledger, latest_per_group=args.latest
-            )
-            doc = {"ledger_baseline": baseline}
-            load_baseline = load_baseline_from_ledger(
-                ledger, latest_per_group=args.latest
-            )
-            if load_baseline:
-                doc["load_baseline"] = load_baseline
+            folded = [(gate, gate.baseline(ledger, latest_per_group=args.latest))
+                      for gate in GATES]
+            doc = {gate.document_key: groups
+                   for gate, groups in folded if groups}
             if args.out:
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=2, sort_keys=True)
                     fh.write("\n")
-                print(f"{len(baseline)} run group(s) + {len(load_baseline)} "
-                      f"load group(s) written to {args.out}")
+                counts = " + ".join(f"{len(groups)} {gate.title}(s)"
+                                    for gate, groups in folded)
+                print(f"{counts} written to {args.out}")
             else:
                 json.dump(doc, sys.stdout, indent=2, sort_keys=True)
                 print()
-            if not baseline and not load_baseline:
+            if not doc:
                 print("error: no simulated or load runs in the ledger",
                       file=sys.stderr)
                 return 2
@@ -1138,50 +1126,28 @@ def _run_ledger(args: argparse.Namespace) -> int:
                 return 2
             # A BENCH document may carry a simulation baseline, a load
             # baseline, or both; gate every kind it has.
-            baseline = load_baseline = None
-            errors = []
-            try:
-                baseline = extract_baseline(document)
-            except ValueError as exc:
-                errors.append(str(exc))
-            try:
-                load_baseline = extract_load_baseline(document)
-            except ValueError as exc:
-                errors.append(str(exc))
-            if baseline is None and load_baseline is None:
+            reports, errors = [], []
+            for gate in GATES:
+                try:
+                    groups = gate.extract(document)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                    continue
+                report = gate.compare(
+                    ledger, groups, stat=args.stat, confidence=args.confidence,
+                    **{c.option: getattr(args, c.option) for c in gate.checks},
+                )
+                print(report.render())
+                reports.append(report)
+            if not reports:
                 print(f"error: cannot load baseline: {'; '.join(errors)}",
                       file=sys.stderr)
                 return 2
-            ok = True
-            any_deltas = False
-            if baseline is not None:
-                report = compare_to_baseline(
-                    ledger, baseline,
-                    makespan_threshold=args.threshold,
-                    cost_threshold=args.cost_threshold,
-                    success_threshold=args.success_threshold,
-                    stat=args.stat,
-                    confidence=args.confidence,
-                )
-                print(report.render())
-                ok = ok and report.ok
-                any_deltas = any_deltas or bool(report.deltas)
-            if load_baseline is not None:
-                load_report = compare_load_to_baseline(
-                    ledger, load_baseline,
-                    rps_threshold=args.rps_threshold,
-                    p99_threshold=args.p99_threshold,
-                    stat=args.stat,
-                    confidence=args.confidence,
-                )
-                print(load_report.render())
-                ok = ok and load_report.ok
-                any_deltas = any_deltas or bool(load_report.deltas)
-            if not any_deltas:
+            if not any(report.deltas for report in reports):
                 print("error: no baseline group found in the ledger",
                       file=sys.stderr)
                 return 2
-            return 0 if ok else 1
+            return 0 if all(report.ok for report in reports) else 1
 
     return 1  # pragma: no cover - argparse guards subcommands
 

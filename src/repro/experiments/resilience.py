@@ -177,6 +177,84 @@ def _resilience_cell_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
     return runs
 
 
+def _run_cells(
+    tasks: List[Dict[str, Any]],
+    axes: List[Tuple[Dict[str, Any], Dict[str, Any]]],
+    *,
+    workers: Union[int, str],
+    n_tasks: int,
+    n_runs: int,
+    sigma_ratio: float,
+    run_extra: Tuple[str, ...] = (),
+) -> ResilienceStudy:
+    """Run planned cells, aggregate each into a point, archive every run.
+
+    ``axes[i]`` pairs cell ``i``'s :class:`ResiliencePoint` axis fields
+    with the fixed ``extra`` fields of its ledger rows; ``run_extra``
+    names the per-run outputs added to them. ``workers > 1`` (or a node
+    list) fans whole cells out; results are bit-identical to serial.
+    """
+    backend = parse_workers(workers)
+    if not backend.is_serial and len(tasks) > 1:
+        with make_pool(backend, max_workers=len(tasks)) as pool:
+            per_cell = pool.map(_resilience_cell_task, tasks)
+    else:
+        per_cell = [_resilience_cell_task(t) for t in tasks]
+
+    ledger = get_ledger()
+    study = ResilienceStudy()
+    for task, (fields, extra), runs in zip(tasks, axes, per_cell):
+        oks = [out["success"] and out["within_budget"] for out in runs]
+        point = ResiliencePoint(
+            n_tasks=n_tasks,
+            budget=task["budget"],
+            n_runs=n_runs,
+            n_success=sum(int(ok) for ok in oks),
+            n_budget_exhausted=sum(
+                int(out["outcome"] == OUTCOME_BUDGET_EXHAUSTED) for out in runs
+            ),
+            mean_makespan=sum(out["makespan"] for out in runs) / len(runs),
+            mean_cost=sum(out["total_cost"] for out in runs) / len(runs),
+            mean_faults=sum(out["n_faults"] for out in runs) / len(runs),
+            # Completed runs that overran the budget: the validity breach
+            # the budget gate exists to prevent. Refused recoveries
+            # (budget_exhausted) may show sunk spend above budget — that
+            # money was burned by the crash itself, not by a decision.
+            n_over_budget=sum(
+                int(out["success"] and not out["within_budget"])
+                for out in runs
+            ),
+            **fields,
+        )
+        study.points.append(point)
+        if not ledger.enabled:
+            continue
+        for out, ok in zip(runs, oks):
+            ledger.record(RunRow(
+                source="faults",
+                workflow=f"{point.family}-{n_tasks}",
+                family=point.family,
+                n_tasks=n_tasks,
+                algorithm=point.label,
+                budget=point.budget,
+                sigma_ratio=sigma_ratio,
+                planned_makespan=task["planned_makespan"],
+                sim_makespan=out["makespan"],
+                sim_cost=out["total_cost"],
+                success_rate=1.0 if ok else 0.0,
+                n_reps=1,
+                n_vms=out["n_vms"],
+                outcome=out["outcome"],
+                n_faults=out["n_faults"],
+                extra={
+                    **extra,
+                    **{key: out[key] for key in
+                       ("n_recoveries", "lost_cost") + run_extra},
+                },
+            ))
+    return study
+
+
 def resilience_sweep(
     *,
     families: Sequence[str] = ("montage",),
@@ -212,8 +290,6 @@ def resilience_sweep(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    ledger = get_ledger()
-    study = ResilienceStudy()
     base_rng = rng if rng is not None else seed
     cells = [
         (family, algo, policy, rate)
@@ -227,6 +303,7 @@ def resilience_sweep(
 
     planned: Dict[Tuple[str, str], Tuple[object, object, float, float]] = {}
     tasks: List[Dict[str, Any]] = []
+    axes: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
     for i, (family, algo, policy, rate) in enumerate(cells):
         key = (family, algo)
         if key not in planned:
@@ -246,72 +323,14 @@ def resilience_sweep(
             "max_replans": max_replans,
             "streams": all_streams[i * n_runs:(i + 1) * n_runs],
         })
+        axes.append(({"family": family, "algorithm": algo,
+                      "policy": policy, "crash_rate": rate},
+                     {"policy": policy, "crash_rate": rate}))
 
-    backend = parse_workers(workers)
-    if not backend.is_serial and len(tasks) > 1:
-        with make_pool(backend, max_workers=len(tasks)) as pool:
-            per_cell = pool.map(_resilience_cell_task, tasks)
-    else:
-        per_cell = [_resilience_cell_task(t) for t in tasks]
-
-    for (family, algo, policy, rate), task, runs in zip(cells, tasks, per_cell):
-        budget = task["budget"]
-        successes = exhausted = over = 0
-        makespans: List[float] = []
-        costs: List[float] = []
-        faults: List[int] = []
-        for out in runs:
-            ok = out["success"] and out["within_budget"]
-            successes += int(ok)
-            exhausted += int(out["outcome"] == OUTCOME_BUDGET_EXHAUSTED)
-            # Completed runs that overran the budget: the validity breach
-            # the budget gate exists to prevent. Refused recoveries
-            # (budget_exhausted) may show sunk spend above budget — that
-            # money was burned by the crash itself, not by a decision.
-            over += int(out["success"] and not out["within_budget"])
-            makespans.append(out["makespan"])
-            costs.append(out["total_cost"])
-            faults.append(out["n_faults"])
-            if ledger.enabled:
-                ledger.record(RunRow(
-                    source="faults",
-                    workflow=f"{family}-{n_tasks}",
-                    family=family,
-                    n_tasks=n_tasks,
-                    algorithm=f"{algo}+{policy}@{rate:g}",
-                    budget=budget,
-                    sigma_ratio=sigma_ratio,
-                    planned_makespan=task["planned_makespan"],
-                    sim_makespan=out["makespan"],
-                    sim_cost=out["total_cost"],
-                    success_rate=1.0 if ok else 0.0,
-                    n_reps=1,
-                    n_vms=out["n_vms"],
-                    outcome=out["outcome"],
-                    n_faults=out["n_faults"],
-                    extra={
-                        "policy": policy,
-                        "crash_rate": rate,
-                        "n_recoveries": out["n_recoveries"],
-                        "lost_cost": out["lost_cost"],
-                    },
-                ))
-        study.points.append(ResiliencePoint(
-            family=family,
-            n_tasks=n_tasks,
-            algorithm=algo,
-            policy=policy,
-            crash_rate=rate,
-            budget=budget,
-            n_runs=n_runs,
-            n_success=successes,
-            n_budget_exhausted=exhausted,
-            mean_makespan=sum(makespans) / len(makespans),
-            mean_cost=sum(costs) / len(costs),
-            mean_faults=sum(faults) / len(faults),
-            n_over_budget=over,
-        ))
-    return study
+    return _run_cells(
+        tasks, axes, workers=workers, n_tasks=n_tasks, n_runs=n_runs,
+        sigma_ratio=sigma_ratio,
+    )
 
 
 def spot_resilience_sweep(
@@ -362,8 +381,6 @@ def spot_resilience_sweep(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    ledger = get_ledger()
-    study = ResilienceStudy()
     base_rng = rng if rng is not None else seed
     # One market trajectory per sweep: every cell prices spot identically,
     # so the reserve axis is the only thing that moves between cells.
@@ -384,6 +401,7 @@ def spot_resilience_sweep(
     planned: Dict[Tuple[str, str, float],
                   Tuple[object, object, float, float]] = {}
     tasks: List[Dict[str, Any]] = []
+    axes: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
     for i, (family, algo, policy, rate, reserve) in enumerate(cells):
         key = (family, algo, reserve)
         if key not in planned:
@@ -411,75 +429,17 @@ def spot_resilience_sweep(
             "max_replans": max_replans,
             "streams": all_streams[i * n_runs:(i + 1) * n_runs],
         })
+        axes.append(({"family": family, "algorithm": algo,
+                      "policy": policy, "crash_rate": 0.0,
+                      "preemption_rate": rate, "reserve": reserve,
+                      "spot": True},
+                     {"policy": policy, "preemption_rate": rate,
+                      "reserve": reserve}))
 
-    backend = parse_workers(workers)
-    if not backend.is_serial and len(tasks) > 1:
-        with make_pool(backend, max_workers=len(tasks)) as pool:
-            per_cell = pool.map(_resilience_cell_task, tasks)
-    else:
-        per_cell = [_resilience_cell_task(t) for t in tasks]
-
-    for (family, algo, policy, rate, reserve), task, runs in zip(
-            cells, tasks, per_cell):
-        budget = task["budget"]
-        successes = exhausted = over = 0
-        makespans: List[float] = []
-        costs: List[float] = []
-        faults: List[int] = []
-        label = f"{algo}+{policy}@spot{rate:g}r{reserve:g}"
-        for out in runs:
-            ok = out["success"] and out["within_budget"]
-            successes += int(ok)
-            exhausted += int(out["outcome"] == OUTCOME_BUDGET_EXHAUSTED)
-            over += int(out["success"] and not out["within_budget"])
-            makespans.append(out["makespan"])
-            costs.append(out["total_cost"])
-            faults.append(out["n_faults"])
-            if ledger.enabled:
-                ledger.record(RunRow(
-                    source="faults",
-                    workflow=f"{family}-{n_tasks}",
-                    family=family,
-                    n_tasks=n_tasks,
-                    algorithm=label,
-                    budget=budget,
-                    sigma_ratio=sigma_ratio,
-                    planned_makespan=task["planned_makespan"],
-                    sim_makespan=out["makespan"],
-                    sim_cost=out["total_cost"],
-                    success_rate=1.0 if ok else 0.0,
-                    n_reps=1,
-                    n_vms=out["n_vms"],
-                    outcome=out["outcome"],
-                    n_faults=out["n_faults"],
-                    extra={
-                        "policy": policy,
-                        "preemption_rate": rate,
-                        "reserve": reserve,
-                        "n_recoveries": out["n_recoveries"],
-                        "lost_cost": out["lost_cost"],
-                        "n_preemptions": out["n_preemptions"],
-                    },
-                ))
-        study.points.append(ResiliencePoint(
-            family=family,
-            n_tasks=n_tasks,
-            algorithm=algo,
-            policy=policy,
-            crash_rate=0.0,
-            budget=budget,
-            n_runs=n_runs,
-            n_success=successes,
-            n_budget_exhausted=exhausted,
-            mean_makespan=sum(makespans) / len(makespans),
-            mean_cost=sum(costs) / len(costs),
-            mean_faults=sum(faults) / len(faults),
-            n_over_budget=over,
-            preemption_rate=rate,
-            reserve=reserve,
-            spot=True,
-        ))
-    return study
+    return _run_cells(
+        tasks, axes, workers=workers, n_tasks=n_tasks, n_runs=n_runs,
+        sigma_ratio=sigma_ratio, run_extra=("n_preemptions",),
+    )
 
 
 def render_resilience(study: ResilienceStudy) -> str:

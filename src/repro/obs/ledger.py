@@ -19,11 +19,11 @@ Enable archiving for a region with::
     with use_ledger(RunLedger("runs.db")):
         run_sweep(config)          # every point lands in runs.db
 
-On top of the archive sit the regression helpers:
-:func:`baseline_from_ledger` folds the latest runs into a per-group
-baseline (stored in ``BENCH_*.json``), and :func:`compare_to_baseline`
-re-measures the ledger against such a baseline — the ``repro-exp ledger
-regress`` CI gate. Simulated makespans and costs are deterministic given
+On top of the archive sits the regression gate, one :class:`Gate` per
+row kind (:data:`RUN_GATE`, :data:`LOAD_GATE`): ``baseline`` folds the
+latest rows into per-group stats (stored in ``BENCH_*.json``), and
+``compare`` re-measures the ledger against such a baseline — the
+``repro-exp ledger regress`` CI gate. Simulated makespans and costs are deterministic given
 the seeds, so baselines transfer across machines.
 """
 
@@ -37,7 +37,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .events import RUN_RECORDED, EventBus
 
@@ -49,17 +50,14 @@ __all__ = [
     "get_ledger",
     "set_ledger",
     "use_ledger",
-    "baseline_from_ledger",
-    "extract_baseline",
-    "compare_to_baseline",
-    "load_baseline_from_ledger",
-    "extract_load_baseline",
-    "compare_load_to_baseline",
-    "welch_slowdown",
+    "Check",
+    "Gate",
     "GroupDelta",
-    "LoadDelta",
     "RegressionReport",
-    "LoadRegressionReport",
+    "RUN_GATE",
+    "LOAD_GATE",
+    "GATES",
+    "welch_slowdown",
 ]
 
 #: Schema history (tracked via SQLite ``PRAGMA user_version``):
@@ -127,6 +125,8 @@ _LOAD_COLUMNS = (
     "p99_s", "cost_total", "stages", "sketches", "version", "extra",
 )
 
+_LOAD_JSON_FIELDS = ("refusals", "stages", "sketches", "extra")
+
 _CREATE_LOAD = """
 CREATE TABLE IF NOT EXISTS load_runs (
     load_id              INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -175,8 +175,24 @@ def _package_version() -> str:
         return f"py{sys.version_info[0]}.{sys.version_info[1]}"
 
 
+class _Row:
+    """JSON round trip shared by the archived row dataclasses."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form (one line of ``repro-exp ledger show``)."""
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        unknown = set(data) - {f.name for f in dataclass_fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        return cls(**data)
+
+
 @dataclass
-class RunRow:
+class RunRow(_Row):
     """One archived run (see the module docstring for field semantics).
 
     ``sim_*`` fields are means over the run's Monte Carlo repetitions and
@@ -215,22 +231,9 @@ class RunRow:
         """Baseline grouping identity: ``family/n_tasks/algorithm``."""
         return f"{self.family or self.workflow}/{self.n_tasks}/{self.algorithm}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (one line of ``repro-exp ledger show``)."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRow":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        names = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown run row fields: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in data})
-
 
 @dataclass
-class LoadRunRow:
+class LoadRunRow(_Row):
     """One archived load-generator replay (see ``repro.loadgen``).
 
     ``stages`` maps stage name to ``{count, p50, p95, p99}`` percentile
@@ -273,19 +276,6 @@ class LoadRunRow:
     def group_key(self) -> str:
         """Baseline grouping identity: the run's label (or config)."""
         return self.label or self.config_fingerprint
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LoadRunRow":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        names = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown load run fields: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in data})
 
 
 class RunLedger:
@@ -356,25 +346,31 @@ class RunLedger:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def record(self, row: RunRow) -> int:
-        """Commit one row; returns its ``run_id`` (also set on ``row``)."""
+    def _insert(
+        self, table: str, columns: Sequence[str], row: Any,
+        encoded: Mapping[str, Any],
+    ) -> int:
+        """Stamp ``row``'s time and version, commit it; returns its id."""
         if not row.recorded_at:
             row.recorded_at = time.time()
         if not row.version:
             row.version = _package_version()
-        encoded = {
-            "within_budget_plan": int(row.within_budget_plan),
-            "extra": json.dumps(row.extra, sort_keys=True),
-        }
-        values = [encoded.get(col, getattr(row, col)) for col in _COLUMNS]
+        values = [encoded.get(col, getattr(row, col)) for col in columns]
         with self._lock:
             cursor = self._conn.execute(
-                f"INSERT INTO runs ({', '.join(_COLUMNS)}) "
-                f"VALUES ({', '.join('?' * len(_COLUMNS))})",
+                f"INSERT INTO {table} ({', '.join(columns)}) "
+                f"VALUES ({', '.join('?' * len(columns))})",
                 values,
             )
             self._conn.commit()
-            row.run_id = int(cursor.lastrowid or 0)
+        return int(cursor.lastrowid or 0)
+
+    def record(self, row: RunRow) -> int:
+        """Commit one row; returns its ``run_id`` (also set on ``row``)."""
+        row.run_id = self._insert("runs", _COLUMNS, row, {
+            "within_budget_plan": int(row.within_budget_plan),
+            "extra": json.dumps(row.extra, sort_keys=True),
+        })
         if self.bus is not None:
             self.bus.publish(
                 RUN_RECORDED,
@@ -391,27 +387,10 @@ class RunLedger:
 
     def record_load_run(self, row: LoadRunRow) -> int:
         """Commit one load-run row; returns its ``load_id``."""
-        if not row.recorded_at:
-            row.recorded_at = time.time()
-        if not row.version:
-            row.version = _package_version()
-        encoded = {
-            "refusals": json.dumps(row.refusals, sort_keys=True),
-            "stages": json.dumps(row.stages, sort_keys=True),
-            "sketches": json.dumps(row.sketches, sort_keys=True),
-            "extra": json.dumps(row.extra, sort_keys=True),
-        }
-        values = [
-            encoded.get(col, getattr(row, col)) for col in _LOAD_COLUMNS
-        ]
-        with self._lock:
-            cursor = self._conn.execute(
-                f"INSERT INTO load_runs ({', '.join(_LOAD_COLUMNS)}) "
-                f"VALUES ({', '.join('?' * len(_LOAD_COLUMNS))})",
-                values,
-            )
-            self._conn.commit()
-            row.load_id = int(cursor.lastrowid or 0)
+        row.load_id = self._insert("load_runs", _LOAD_COLUMNS, row, {
+            key: json.dumps(getattr(row, key), sort_keys=True)
+            for key in _LOAD_JSON_FIELDS
+        })
         if self.bus is not None:
             self.bus.publish(
                 "load_run.recorded",
@@ -469,6 +448,24 @@ class RunLedger:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+    def _select(
+        self, table: str, key: str, limit: int,
+        filters: Sequence[Tuple[str, Tuple[Any, ...]]],
+    ) -> List[sqlite3.Row]:
+        """Newest-first rows of ``table``; filters whose value is None are
+        skipped, and ``limit <= 0`` means unbounded."""
+        used = [(clause, args) for clause, args in filters
+                if args[0] is not None]
+        sql = (f"SELECT * FROM {table} WHERE "
+               f"{' AND '.join(['1=1'] + [clause for clause, _ in used])} "
+               f"ORDER BY {key} DESC")
+        if limit > 0:
+            sql += f" LIMIT {int(limit)}"
+        with self._lock:
+            return self._conn.execute(
+                sql, [a for _, args in used for a in args]
+            ).fetchall()
+
     def run(self, run_id: int) -> RunRow:
         """The row with ``run_id``; raises ``KeyError`` when absent."""
         with self._lock:
@@ -495,30 +492,13 @@ class RunLedger:
         column; ``since`` is an epoch-seconds lower bound; ``limit <= 0``
         means unbounded.
         """
-        clauses, params = ["1=1"], []
-        if algorithm is not None:
-            clauses.append("algorithm = ?")
-            params.append(algorithm)
-        if workflow is not None:
-            clauses.append("(workflow = ? OR family = ?)")
-            params.extend([workflow, workflow])
-        if fingerprint is not None:
-            clauses.append("fingerprint = ?")
-            params.append(fingerprint)
-        if source is not None:
-            clauses.append("source = ?")
-            params.append(source)
-        if since is not None:
-            clauses.append("recorded_at >= ?")
-            params.append(since)
-        sql = (
-            f"SELECT * FROM runs WHERE {' AND '.join(clauses)} "
-            "ORDER BY run_id DESC"
-        )
-        if limit > 0:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            found = self._conn.execute(sql, params).fetchall()
+        found = self._select("runs", "run_id", limit, [
+            ("algorithm = ?", (algorithm,)),
+            ("(workflow = ? OR family = ?)", (workflow, workflow)),
+            ("fingerprint = ?", (fingerprint,)),
+            ("source = ?", (source,)),
+            ("recorded_at >= ?", (since,)),
+        ])
         return [self._decode(r) for r in found]
 
     def count(self) -> int:
@@ -547,24 +527,11 @@ class RunLedger:
         limit: int = 100,
     ) -> List[LoadRunRow]:
         """Newest-first query over archived load runs (``limit <= 0`` = all)."""
-        clauses, params = ["1=1"], []
-        if label is not None:
-            clauses.append("label = ?")
-            params.append(label)
-        if config_fingerprint is not None:
-            clauses.append("config_fingerprint = ?")
-            params.append(config_fingerprint)
-        if since is not None:
-            clauses.append("recorded_at >= ?")
-            params.append(since)
-        sql = (
-            f"SELECT * FROM load_runs WHERE {' AND '.join(clauses)} "
-            "ORDER BY load_id DESC"
-        )
-        if limit > 0:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            found = self._conn.execute(sql, params).fetchall()
+        found = self._select("load_runs", "load_id", limit, [
+            ("label = ?", (label,)),
+            ("config_fingerprint = ?", (config_fingerprint,)),
+            ("recorded_at >= ?", (since,)),
+        ])
         return [self._decode_load(r) for r in found]
 
     def load_count(self) -> int:
@@ -601,46 +568,12 @@ class RunLedger:
         ``makespan``/``cost``/``success_rate`` means; the planned numbers
         average over every row.
         """
-        rows = self.runs(limit=0)
-        grouped: Dict[str, List[RunRow]] = {}
-        for row in rows:  # rows are newest-first
-            bucket = grouped.setdefault(row.group_key(), [])
-            if latest_per_group <= 0 or len(bucket) < latest_per_group:
-                bucket.append(row)
-        out: Dict[str, Dict[str, float]] = {}
-        for key, bucket in sorted(grouped.items()):
-            stats: Dict[str, float] = {
-                "n_runs": float(len(bucket)),
-                "planned_makespan": _mean(
-                    [r.planned_makespan for r in bucket]
-                ),
-                "planned_cost": _mean([r.planned_cost for r in bucket]),
-            }
-            simulated = [r for r in bucket if r.sim_makespan is not None]
-            if simulated:
-                stats["makespan"] = _mean([r.sim_makespan for r in simulated])
-                stats["cost"] = _mean(
-                    [r.sim_cost for r in simulated if r.sim_cost is not None]
-                )
-                rates = [
-                    r.success_rate
-                    for r in simulated
-                    if r.success_rate is not None
-                ]
-                if rates:  # no rate data at all must not read as 0% success
-                    stats["success_rate"] = _mean(rates)
-                pooled = _pool_sample_stats(
-                    r.extra.get("makespan_stats") for r in simulated
-                )
-                if pooled is not None:
-                    # Per-replication sample stats (written by sweeps and
-                    # the service under extra["makespan_stats"]), pooled
-                    # across rows — the inputs to the Welch gate.
-                    stats["makespan_sample_mean"] = pooled[0]
-                    stats["makespan_std"] = pooled[1]
-                    stats["n_samples"] = float(pooled[2])
-            out[key] = stats
-        return out
+        return {
+            key: run_group_stats(bucket)
+            for key, bucket in _newest_per_group(
+                self.runs(limit=0), latest_per_group
+            ).items()
+        }
 
     def _decode(self, found: sqlite3.Row) -> RunRow:
         data = dict(found)
@@ -650,7 +583,7 @@ class RunLedger:
 
     def _decode_load(self, found: sqlite3.Row) -> LoadRunRow:
         data = dict(found)
-        for key in ("refusals", "stages", "sketches", "extra"):
+        for key in _LOAD_JSON_FIELDS:
             data[key] = json.loads(data[key]) if data[key] else {}
         return LoadRunRow(**data)
 
@@ -844,240 +777,53 @@ def welch_slowdown(
     return t_stat > t_crit, t_stat, t_crit
 
 
-def baseline_from_ledger(
-    ledger: RunLedger, *, latest_per_group: int = 0
-) -> Dict[str, Dict[str, float]]:
-    """Fold the ledger into a baseline payload for ``BENCH_*.json``.
+def _newest_per_group(
+    rows: Sequence[Any], latest_per_group: int
+) -> Dict[str, List[Any]]:
+    """Bucket newest-first ``rows`` by ``group_key()``, sorted by key.
 
-    The result maps ``family/n_tasks/algorithm`` group keys to their mean
-    simulated makespan/cost and success rate — store it under a
-    ``"ledger_baseline"`` key.
+    ``latest_per_group`` keeps only each group's newest N rows (0 = all).
     """
-    return {
-        key: stats
-        for key, stats in ledger.group_stats(
-            latest_per_group=latest_per_group
-        ).items()
-        if "makespan" in stats
+    grouped: Dict[str, List[Any]] = {}
+    for row in rows:
+        bucket = grouped.setdefault(row.group_key(), [])
+        if latest_per_group <= 0 or len(bucket) < latest_per_group:
+            bucket.append(row)
+    return dict(sorted(grouped.items()))
+
+
+def run_group_stats(rows: Sequence[RunRow]) -> Dict[str, float]:
+    """Fold one group's run rows into means (see :meth:`RunLedger.group_stats`)."""
+    stats: Dict[str, float] = {
+        "n_runs": float(len(rows)),
+        "planned_makespan": _mean([r.planned_makespan for r in rows]),
+        "planned_cost": _mean([r.planned_cost for r in rows]),
     }
-
-
-@dataclass(frozen=True)
-class GroupDelta:
-    """One baseline group re-measured against the current ledger."""
-
-    group: str
-    baseline_makespan: float
-    current_makespan: float
-    baseline_cost: float
-    current_cost: float
-    n_runs: int
-    baseline_success: float = 1.0
-    current_success: float = 1.0
-    #: Welch-test annotations; ``stat_tested`` stays False when either
-    #: side lacked usable sample stats and the fixed threshold judged.
-    stat_tested: bool = False
-    t_stat: float = 0.0
-    t_crit: float = 0.0
-
-    @property
-    def makespan_change(self) -> float:
-        """Fractional makespan change (+0.2 = 20% slower)."""
-        if self.baseline_makespan <= 0.0:
-            return 0.0
-        return self.current_makespan / self.baseline_makespan - 1.0
-
-    @property
-    def cost_change(self) -> float:
-        """Fractional cost change (+0.2 = 20% more expensive)."""
-        if self.baseline_cost <= 0.0:
-            return 0.0
-        return self.current_cost / self.baseline_cost - 1.0
-
-    @property
-    def success_change(self) -> float:
-        """Absolute success-rate change (-0.1 = 10 points fewer successes)."""
-        return self.current_success - self.baseline_success
-
-
-@dataclass
-class RegressionReport:
-    """Outcome of :func:`compare_to_baseline` (drives the CI exit code)."""
-
-    deltas: List[GroupDelta] = field(default_factory=list)
-    regressions: List[GroupDelta] = field(default_factory=list)
-    missing_groups: List[str] = field(default_factory=list)
-    makespan_threshold: float = 0.10
-    cost_threshold: float = 0.10
-    success_threshold: float = 0.05
-    stat: bool = False
-    confidence: float = 0.95
-
-    @property
-    def ok(self) -> bool:
-        """True when no group regressed and at least one was compared."""
-        return not self.regressions and bool(self.deltas)
-
-    def render(self) -> str:
-        """Human-readable table for the CLI."""
-        lines = [
-            f"{'group':<40s} {'makespan':>10s} {'Δ%':>8s} "
-            f"{'cost':>10s} {'Δ%':>8s} {'succ':>6s} {'Δpts':>6s}  verdict"
+    simulated = [r for r in rows if r.sim_makespan is not None]
+    if simulated:
+        stats["makespan"] = _mean([r.sim_makespan for r in simulated])
+        stats["cost"] = _mean(
+            [r.sim_cost for r in simulated if r.sim_cost is not None]
+        )
+        rates = [
+            r.success_rate for r in simulated if r.success_rate is not None
         ]
-        for d in self.deltas:
-            verdict = "REGRESSED" if d in self.regressions else "ok"
-            if d.stat_tested:
-                verdict += f" (t={d.t_stat:+.2f} vs {d.t_crit:.2f})"
-            lines.append(
-                f"{d.group:<40s} {d.current_makespan:>10.2f} "
-                f"{100 * d.makespan_change:>+7.2f}% "
-                f"{d.current_cost:>10.4f} {100 * d.cost_change:>+7.2f}% "
-                f"{d.current_success:>6.2f} {100 * d.success_change:>+5.1f}  "
-                f"{verdict}"
-            )
-        for group in self.missing_groups:
-            lines.append(f"{group:<40s} {'—':>10s} {'—':>8s} "
-                         f"{'—':>10s} {'—':>8s} {'—':>6s} {'—':>6s}  "
-                         f"missing from ledger")
-        gate = (
-            f"makespan: Welch test at {100 * self.confidence:.0f}% "
-            f"one-sided confidence (fallback +"
-            f"{100 * self.makespan_threshold:.0f}%)"
-            if self.stat
-            else f"makespan +{100 * self.makespan_threshold:.0f}%"
+        if rates:  # no rate data at all must not read as 0% success
+            stats["success_rate"] = _mean(rates)
+        pooled = _pool_sample_stats(
+            r.extra.get("makespan_stats") for r in simulated
         )
-        lines.append(
-            f"{len(self.deltas)} group(s) compared, "
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.missing_groups)} missing "
-            f"({gate}, "
-            f"cost +{100 * self.cost_threshold:.0f}%, "
-            f"success -{100 * self.success_threshold:.0f}pts)"
-        )
-        return "\n".join(lines)
+        if pooled is not None:
+            # Per-replication sample stats (written by sweeps and the
+            # service under extra["makespan_stats"]), pooled across rows
+            # — the inputs to the Welch gate.
+            stats["makespan_sample_mean"] = pooled[0]
+            stats["makespan_std"] = pooled[1]
+            stats["n_samples"] = float(pooled[2])
+    return stats
 
 
-def extract_baseline(document: Mapping[str, Any]) -> Dict[str, Dict[str, float]]:
-    """The ledger baseline inside a ``BENCH_*.json`` document.
-
-    Accepts either a document with a ``"ledger_baseline"`` key or a bare
-    group → stats mapping. Raises ``ValueError`` when neither shape fits.
-    """
-    payload = document.get("ledger_baseline", document)
-    if not isinstance(payload, Mapping) or not payload:
-        raise ValueError("baseline document has no 'ledger_baseline' groups")
-    for key, stats in payload.items():
-        if not isinstance(stats, Mapping) or "makespan" not in stats:
-            raise ValueError(
-                f"baseline group {key!r} lacks a 'makespan' entry — "
-                "not a ledger baseline"
-            )
-    return {k: dict(v) for k, v in payload.items()}
-
-
-def _sample_triple(
-    stats: Mapping[str, float]
-) -> Optional[Tuple[float, float, int]]:
-    """``(mean, std, n)`` from a group-stats mapping, if it carries them."""
-    n = int(stats.get("n_samples", 0) or 0)
-    if n < 2 or "makespan_std" not in stats:
-        return None
-    mean = float(stats.get("makespan_sample_mean", stats.get("makespan", 0.0)))
-    return mean, float(stats["makespan_std"]), n
-
-
-def compare_to_baseline(
-    ledger: RunLedger,
-    baseline: Mapping[str, Mapping[str, float]],
-    *,
-    makespan_threshold: float = 0.10,
-    cost_threshold: float = 0.10,
-    success_threshold: float = 0.05,
-    stat: bool = False,
-    confidence: float = 0.95,
-) -> RegressionReport:
-    """Re-measure the ledger's latest runs against ``baseline`` groups.
-
-    For every baseline group, the current value is the mean over the
-    group's newest ``n_runs`` ledger rows (as many as the baseline itself
-    averaged). A group regresses when its makespan grows by more than
-    ``makespan_threshold`` (fractional), its cost by more than
-    ``cost_threshold``, or its success rate drops by more than
-    ``success_threshold`` (absolute points — the fault-resilience gate).
-    Groups absent from the ledger are reported, not failed — the caller
-    decides (the CLI fails only when *nothing* matched).
-
-    ``stat=True`` replaces the fixed makespan threshold with a one-sided
-    Welch test (:func:`welch_slowdown`) at ``confidence`` wherever both
-    sides carry pooled Monte Carlo sample stats (``makespan_std`` /
-    ``n_samples``, written by sweeps and the service): the gate then fails
-    only on *statistically significant* slowdowns, so a noisy-but-flat
-    group with wide replication variance no longer trips CI. Groups
-    without sample stats on either side keep the fixed threshold. The
-    cost and success gates are unchanged either way.
-    """
-    if not 0.5 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
-    report = RegressionReport(
-        makespan_threshold=makespan_threshold,
-        cost_threshold=cost_threshold,
-        success_threshold=success_threshold,
-        stat=stat,
-        confidence=confidence,
-    )
-    stats_by_depth: Dict[int, Dict[str, Dict[str, float]]] = {}
-    for group, base in sorted(baseline.items()):
-        n_runs = int(base.get("n_runs", 0)) or 0
-        if n_runs not in stats_by_depth:
-            stats_by_depth[n_runs] = ledger.group_stats(
-                latest_per_group=n_runs
-            )
-        current = stats_by_depth[n_runs].get(group)
-        if current is None or "makespan" not in current:
-            report.missing_groups.append(group)
-            continue
-        stat_tested = False
-        t_stat = t_crit = 0.0
-        makespan_regressed: Optional[bool] = None
-        if stat:
-            base_triple = _sample_triple(base)
-            cur_triple = _sample_triple(current)
-            if base_triple is not None and cur_triple is not None:
-                significant, t_stat, t_crit = welch_slowdown(
-                    base_triple, cur_triple, confidence=confidence
-                )
-                if math.isfinite(t_crit):
-                    stat_tested = True
-                    makespan_regressed = significant
-        delta = GroupDelta(
-            group=group,
-            baseline_makespan=float(base["makespan"]),
-            current_makespan=float(current["makespan"]),
-            baseline_cost=float(base.get("cost", 0.0)),
-            current_cost=float(current.get("cost", 0.0)),
-            n_runs=int(current.get("n_runs", 0)),
-            baseline_success=float(base.get("success_rate", 1.0)),
-            current_success=float(current.get("success_rate", 1.0)),
-            stat_tested=stat_tested,
-            t_stat=t_stat,
-            t_crit=t_crit if stat_tested else 0.0,
-        )
-        if makespan_regressed is None:
-            makespan_regressed = delta.makespan_change > makespan_threshold
-        report.deltas.append(delta)
-        if (
-            makespan_regressed
-            or delta.cost_change > cost_threshold
-            or -delta.success_change > success_threshold
-        ):
-            report.regressions.append(delta)
-    return report
-
-
-# ----------------------------------------------------------------------
-# load-run regression gate
-# ----------------------------------------------------------------------
-def _pool_load_rows(rows: Sequence[LoadRunRow]) -> Dict[str, float]:
+def load_group_stats(rows: Sequence[LoadRunRow]) -> Dict[str, float]:
     """Fold one group's load rows into baseline stats.
 
     Rates and percentiles are plain means over the rows; latency sample
@@ -1105,85 +851,70 @@ def _pool_load_rows(rows: Sequence[LoadRunRow]) -> Dict[str, float]:
     return stats
 
 
-def load_baseline_from_ledger(
-    ledger: RunLedger, *, latest_per_group: int = 0
-) -> Dict[str, Dict[str, float]]:
-    """Fold archived load runs into a ``"load_baseline"`` payload.
+@dataclass(frozen=True)
+class Check:
+    """One thresholded quantity of a :class:`Gate`.
 
-    Groups by each row's label (or config fingerprint when unlabeled);
-    ``latest_per_group`` keeps only each group's newest N rows.
+    ``relative`` checks compare fractional change (``current / baseline
+    - 1``, 0 when the baseline is not positive), the others absolute
+    difference. A side whose stats lack ``key`` reads as ``missing``.
     """
-    grouped: Dict[str, List[LoadRunRow]] = {}
-    for row in ledger.load_runs(limit=0):  # newest-first
-        bucket = grouped.setdefault(row.group_key(), [])
-        if latest_per_group <= 0 or len(bucket) < latest_per_group:
-            bucket.append(row)
-    return {
-        key: _pool_load_rows(bucket)
-        for key, bucket in sorted(grouped.items())
-    }
 
+    key: str
+    label: str
+    #: The threshold's keyword in :meth:`Gate.compare`.
+    option: str
+    default: float
+    higher_is_worse: bool = True
+    relative: bool = True
+    missing: float = 0.0
+    fmt: str = ".2f"
 
-def extract_load_baseline(
-    document: Mapping[str, Any]
-) -> Dict[str, Dict[str, float]]:
-    """The ``"load_baseline"`` groups inside a ``BENCH_*.json`` document.
+    def change(self, baseline: float, current: float) -> float:
+        """Change from ``baseline`` to ``current`` (+0.2 = 20% more)."""
+        if not self.relative:
+            return current - baseline
+        if baseline <= 0.0:
+            return 0.0
+        return current / baseline - 1.0
 
-    Raises ``ValueError`` when the document has none (callers treat that
-    as "no load gate configured", not an error).
-    """
-    payload = document.get("load_baseline")
-    if not isinstance(payload, Mapping) or not payload:
-        raise ValueError("baseline document has no 'load_baseline' groups")
-    for key, stats in payload.items():
-        if not isinstance(stats, Mapping) or "achieved_rps" not in stats:
-            raise ValueError(
-                f"load baseline group {key!r} lacks an 'achieved_rps' "
-                "entry — not a load baseline"
-            )
-    return {k: dict(v) for k, v in payload.items()}
+    def regressed(self, change: float, threshold: float) -> bool:
+        """Whether ``change`` moves the worse way by more than ``threshold``."""
+        return (change if self.higher_is_worse else -change) > threshold
 
 
 @dataclass(frozen=True)
-class LoadDelta:
-    """One load-baseline group re-measured against the current ledger."""
+class GroupDelta:
+    """One baseline group re-measured against the current ledger.
+
+    ``baseline``, ``current`` and ``changes`` are keyed by each check's
+    stats key (e.g. ``changes["makespan"]``: +0.2 = 20% slower).
+    """
 
     group: str
-    baseline_rps: float
-    current_rps: float
-    baseline_p99_s: float
-    current_p99_s: float
     n_runs: int
+    baseline: Dict[str, float]
+    current: Dict[str, float]
+    changes: Dict[str, float]
+    #: Welch-test annotations; ``stat_tested`` stays False when either
+    #: side lacked usable sample stats and the fixed thresholds judged.
     stat_tested: bool = False
     t_stat: float = 0.0
     t_crit: float = 0.0
 
-    @property
-    def rps_change(self) -> float:
-        """Fractional throughput change (-0.2 = 20% slower)."""
-        if self.baseline_rps <= 0.0:
-            return 0.0
-        return self.current_rps / self.baseline_rps - 1.0
-
-    @property
-    def p99_change(self) -> float:
-        """Fractional p99 change (+0.2 = 20% longer tail)."""
-        if self.baseline_p99_s <= 0.0:
-            return 0.0
-        return self.current_p99_s / self.baseline_p99_s - 1.0
-
 
 @dataclass
-class LoadRegressionReport:
-    """Outcome of :func:`compare_load_to_baseline`."""
+class RegressionReport:
+    """Outcome of :meth:`Gate.compare` (drives the CI exit code)."""
 
-    deltas: List[LoadDelta] = field(default_factory=list)
-    regressions: List[LoadDelta] = field(default_factory=list)
-    missing_groups: List[str] = field(default_factory=list)
-    rps_threshold: float = 0.15
-    p99_threshold: float = 0.25
+    gate: "Gate"
+    #: Threshold per check key.
+    thresholds: Dict[str, float]
     stat: bool = False
     confidence: float = 0.95
+    deltas: List[GroupDelta] = field(default_factory=list)
+    regressions: List[GroupDelta] = field(default_factory=list)
+    missing_groups: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -1192,115 +923,228 @@ class LoadRegressionReport:
 
     def render(self) -> str:
         """Human-readable table for the CLI."""
-        lines = [
-            f"{'load group':<32s} {'rps':>9s} {'Δ%':>8s} "
-            f"{'p99(s)':>9s} {'Δ%':>8s}  verdict"
-        ]
+        gate = self.gate
+        lines = [f"{gate.title:<40s}" + "".join(
+            f" {c.label:>10s} {'Δ%' if c.relative else 'Δpts':>8s}"
+            for c in gate.checks
+        ) + "  verdict"]
         for d in self.deltas:
             verdict = "REGRESSED" if d in self.regressions else "ok"
             if d.stat_tested:
                 verdict += f" (t={d.t_stat:+.2f} vs {d.t_crit:.2f})"
-            lines.append(
-                f"{d.group:<32.32s} {d.current_rps:>9.1f} "
-                f"{100 * d.rps_change:>+7.2f}% "
-                f"{d.current_p99_s:>9.4f} {100 * d.p99_change:>+7.2f}%  "
-                f"{verdict}"
-            )
+            lines.append(f"{d.group:<40s}" + "".join(
+                f" {d.current[c.key]:>10{c.fmt}} "
+                f"{100 * d.changes[c.key]:>+7.2f}{'%' if c.relative else 'p'}"
+                for c in gate.checks
+            ) + f"  {verdict}")
         for group in self.missing_groups:
-            lines.append(f"{group:<32.32s} {'—':>9s} {'—':>8s} "
-                         f"{'—':>9s} {'—':>8s}  missing from ledger")
-        tail_gate = (
-            f"latency: Welch test at {100 * self.confidence:.0f}% "
-            f"one-sided confidence (p99 cap +{100 * self.p99_threshold:.0f}%)"
-            if self.stat
-            else f"p99 +{100 * self.p99_threshold:.0f}%"
-        )
+            lines.append(f"{group:<40s}" + f" {'—':>10s} {'—':>8s}"
+                         * len(gate.checks) + "  missing from ledger")
+        welch = (f"{gate.welch_label}: Welch test at "
+                 f"{100 * self.confidence:.0f}% one-sided confidence")
+        limits = []
+        for c in gate.checks:
+            limit = (f"{c.label} {'+' if c.higher_is_worse else '-'}"
+                     f"{100 * self.thresholds[c.key]:.0f}"
+                     f"{'%' if c.relative else 'pts'}")
+            if self.stat and c.key == gate.welch_replaces:
+                limit = f"{welch} (fallback {limit})"
+            limits.append(limit)
+        if self.stat and gate.welch_replaces is None:
+            limits.append(welch)
         lines.append(
-            f"{len(self.deltas)} load group(s) compared, "
+            f"{len(self.deltas)} {gate.title}(s) compared, "
             f"{len(self.regressions)} regression(s), "
-            f"{len(self.missing_groups)} missing "
-            f"(throughput -{100 * self.rps_threshold:.0f}%, {tail_gate})"
+            f"{len(self.missing_groups)} missing ({', '.join(limits)})"
         )
         return "\n".join(lines)
 
 
-def _load_sample_triple(
-    stats: Mapping[str, float]
-) -> Optional[Tuple[float, float, int]]:
-    n = int(stats.get("n_samples", 0) or 0)
-    if n < 2 or "latency_std_s" not in stats:
-        return None
-    return (float(stats.get("latency_mean_s", 0.0)),
-            float(stats["latency_std_s"]), n)
+@dataclass(frozen=True)
+class Gate:
+    """One kind of regression gate, described as data.
 
-
-def compare_load_to_baseline(
-    ledger: RunLedger,
-    baseline: Mapping[str, Mapping[str, float]],
-    *,
-    rps_threshold: float = 0.15,
-    p99_threshold: float = 0.25,
-    stat: bool = False,
-    confidence: float = 0.95,
-) -> LoadRegressionReport:
-    """Re-measure archived load runs against ``baseline`` groups.
-
-    A group regresses when its achieved throughput drops by more than
-    ``rps_threshold`` (fractional) or its p99 grows by more than
-    ``p99_threshold``. ``stat=True`` additionally runs the one-sided
-    Welch test on the exact latency sample stats — a statistically
-    significant mean-latency slowdown regresses even under the p99 cap,
-    and mirrors the ``ledger regress --stat`` makespan contract.
+    A baseline is a ``group -> stats`` mapping, stored in ``BENCH_*.json``
+    under ``document_key``: ``group_stats`` folds each group's newest
+    ``rows(ledger)`` into stats, and groups without the ``required`` stat
+    are left out. :meth:`compare` re-measures the ledger against it with
+    the fixed ``checks``. With ``stat=True`` and sample stats
+    (``welch_mean`` / ``welch_std`` / ``n_samples``) on both sides, a
+    one-sided Welch test (:func:`welch_slowdown`) replaces the check on
+    ``welch_replaces``, or adds its verdict when that is ``None``.
     """
-    if not 0.5 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
-    report = LoadRegressionReport(
-        rps_threshold=rps_threshold,
-        p99_threshold=p99_threshold,
-        stat=stat,
-        confidence=confidence,
-    )
-    grouped: Dict[str, List[LoadRunRow]] = {}
-    for row in ledger.load_runs(limit=0):
-        grouped.setdefault(row.group_key(), []).append(row)
-    for group, base in sorted(baseline.items()):
-        rows = grouped.get(group)
-        if not rows:
-            report.missing_groups.append(group)
-            continue
-        n_runs = int(base.get("n_runs", 0)) or 0
-        if n_runs > 0:
-            rows = rows[:n_runs]  # newest-first, match the baseline depth
-        current = _pool_load_rows(rows)
-        stat_tested = False
-        t_stat = t_crit = 0.0
-        latency_regressed = False
-        if stat:
-            base_triple = _load_sample_triple(base)
-            cur_triple = _load_sample_triple(current)
-            if base_triple is not None and cur_triple is not None:
-                significant, t_stat, t_crit = welch_slowdown(
-                    base_triple, cur_triple, confidence=confidence
-                )
-                if math.isfinite(t_crit):
-                    stat_tested = True
-                    latency_regressed = significant
-        delta = LoadDelta(
-            group=group,
-            baseline_rps=float(base.get("achieved_rps", 0.0)),
-            current_rps=float(current.get("achieved_rps", 0.0)),
-            baseline_p99_s=float(base.get("p99_s", 0.0)),
-            current_p99_s=float(current.get("p99_s", 0.0)),
-            n_runs=len(rows),
-            stat_tested=stat_tested,
-            t_stat=t_stat,
-            t_crit=t_crit if stat_tested else 0.0,
+
+    title: str
+    document_key: str
+    required: str
+    checks: Tuple[Check, ...]
+    welch_label: str
+    welch_mean: str
+    welch_std: str
+    welch_replaces: Optional[str]
+    rows: Callable[[Any], Sequence[Any]]
+    group_stats: Callable[[Sequence[Any]], Dict[str, float]]
+
+    def baseline(
+        self, ledger: Any, *, latest_per_group: int = 0
+    ) -> Dict[str, Dict[str, float]]:
+        """Fold the ledger into baseline groups (``latest_per_group`` as in
+        :meth:`RunLedger.group_stats`)."""
+        folded = (
+            (key, self.group_stats(bucket))
+            for key, bucket in _newest_per_group(
+                self.rows(ledger), latest_per_group
+            ).items()
         )
-        report.deltas.append(delta)
-        if (
-            -delta.rps_change > rps_threshold
-            or delta.p99_change > p99_threshold
-            or latency_regressed
-        ):
-            report.regressions.append(delta)
-    return report
+        return {key: stats for key, stats in folded if self.required in stats}
+
+    def extract(self, document: Mapping[str, Any]) -> Dict[str, Dict[str, float]]:
+        """The baseline groups inside a ``BENCH_*.json`` document.
+
+        Accepts a document with a ``document_key`` entry or a bare group
+        -> stats mapping. Raises ``ValueError`` when neither shape fits.
+        """
+        payload = document.get(self.document_key, document)
+        if not isinstance(payload, Mapping) or not payload:
+            raise ValueError(
+                f"baseline document has no {self.document_key!r} groups"
+            )
+        for key, stats in payload.items():
+            if not isinstance(stats, Mapping) or self.required not in stats:
+                raise ValueError(
+                    f"baseline group {key!r} lacks a {self.required!r} "
+                    f"entry — not a {self.document_key}"
+                )
+        return {k: dict(v) for k, v in payload.items()}
+
+    def _samples(
+        self, stats: Mapping[str, float]
+    ) -> Optional[Tuple[float, float, int]]:
+        """``(mean, std, n)`` from a group's stats, if it carries them."""
+        n = int(stats.get("n_samples", 0) or 0)
+        if n < 2 or self.welch_std not in stats:
+            return None
+        fallback = (stats.get(self.welch_replaces, 0.0)
+                    if self.welch_replaces else 0.0)
+        mean = float(stats.get(self.welch_mean, fallback))
+        return mean, float(stats[self.welch_std]), n
+
+    def compare(
+        self,
+        ledger: Any,
+        baseline: Mapping[str, Mapping[str, float]],
+        *,
+        stat: bool = False,
+        confidence: float = 0.95,
+        **thresholds: float,
+    ) -> RegressionReport:
+        """Re-measure the ledger's latest rows against ``baseline`` groups.
+
+        For every baseline group, the current stats fold the group's
+        newest ``n_runs`` rows (as many as the baseline itself averaged).
+        A group regresses when any check moves the worse way by more than
+        its threshold (keyword ``check.option``, default
+        ``check.default``), or, with ``stat=True``, when the Welch test
+        finds a significant slowdown at ``confidence`` (see the class
+        docstring). Groups absent from the ledger are reported, not
+        failed — the caller decides (the CLI fails only when *nothing*
+        matched).
+        """
+        if not 0.5 < confidence < 1.0:
+            raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
+        unknown = set(thresholds) - {c.option for c in self.checks}
+        if unknown:
+            raise TypeError(f"unknown thresholds: {sorted(unknown)}")
+        report = RegressionReport(
+            gate=self,
+            thresholds={c.key: thresholds.get(c.option, c.default)
+                        for c in self.checks},
+            stat=stat,
+            confidence=confidence,
+        )
+        current_by_depth: Dict[int, Dict[str, Dict[str, float]]] = {}
+        for group, base in sorted(baseline.items()):
+            depth = int(base.get("n_runs", 0)) or 0
+            if depth not in current_by_depth:
+                current_by_depth[depth] = self.baseline(
+                    ledger, latest_per_group=depth
+                )
+            current = current_by_depth[depth].get(group)
+            if current is None:
+                report.missing_groups.append(group)
+                continue
+            significant = tested = False
+            t_stat = t_crit = 0.0
+            samples = (self._samples(base), self._samples(current))
+            if stat and None not in samples:
+                significant, t_stat, t_crit = welch_slowdown(
+                    *samples, confidence=confidence
+                )
+                tested = math.isfinite(t_crit)
+            before = {c.key: float(base.get(c.key, c.missing))
+                      for c in self.checks}
+            after = {c.key: float(current.get(c.key, c.missing))
+                     for c in self.checks}
+            delta = GroupDelta(
+                group=group,
+                n_runs=int(current["n_runs"]),
+                baseline=before,
+                current=after,
+                changes={c.key: c.change(before[c.key], after[c.key])
+                         for c in self.checks},
+                stat_tested=tested,
+                t_stat=t_stat,
+                t_crit=t_crit if tested else 0.0,
+            )
+            report.deltas.append(delta)
+            if (tested and significant) or any(
+                c.regressed(delta.changes[c.key], report.thresholds[c.key])
+                for c in self.checks
+                if not (tested and c.key == self.welch_replaces)
+            ):
+                report.regressions.append(delta)
+        return report
+
+
+#: The simulated-runs gate: ``family/n_tasks/algorithm`` groups of
+#: :class:`RunRow` — makespan, cost and the fault-resilience success rate.
+RUN_GATE = Gate(
+    title="run group",
+    document_key="ledger_baseline",
+    required="makespan",
+    checks=(
+        Check("makespan", "makespan", "makespan_threshold", 0.10),
+        Check("cost", "cost", "cost_threshold", 0.10, fmt=".4f"),
+        Check("success_rate", "success", "success_threshold", 0.05,
+              higher_is_worse=False, relative=False, missing=1.0),
+    ),
+    welch_label="makespan",
+    welch_mean="makespan_sample_mean",
+    welch_std="makespan_std",
+    welch_replaces="makespan",
+    rows=methodcaller("runs", limit=0),
+    group_stats=run_group_stats,
+)
+
+#: The load-generator gate: :class:`LoadRunRow` groups by label —
+#: achieved throughput and p99, plus Welch on the exact latency stats
+#: (a significant mean-latency slowdown regresses even under the p99 cap).
+LOAD_GATE = Gate(
+    title="load group",
+    document_key="load_baseline",
+    required="achieved_rps",
+    checks=(
+        Check("achieved_rps", "rps", "rps_threshold", 0.15,
+              higher_is_worse=False, fmt=".1f"),
+        Check("p99_s", "p99(s)", "p99_threshold", 0.25, fmt=".4f"),
+    ),
+    welch_label="latency",
+    welch_mean="latency_mean_s",
+    welch_std="latency_std_s",
+    welch_replaces=None,
+    rows=methodcaller("load_runs", limit=0),
+    group_stats=load_group_stats,
+)
+
+#: Every gate, in the order ``repro-exp ledger baseline/regress`` runs them.
+GATES = (RUN_GATE, LOAD_GATE)

@@ -18,7 +18,7 @@ MIN-MINBUDG); the plain baselines are the infinite-budget special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..platform.cloud import CloudPlatform
 from ..workflow.dag import Workflow
@@ -35,14 +35,18 @@ __all__ = [
 
 
 class _ReadySetBudgScheduler(Scheduler):
-    """Shared batch-mode loop; subclasses provide the selection key."""
+    """Shared batch-mode loop of MIN-MIN, MAX-MIN and SUFFERAGE.
+
+    Subclasses provide the selection key. Ties go to the task earliest in
+    topological order, so the order of the ready set never matters.
+    """
 
     name = "abstract_ready_set"
 
     def _selection_key(
         self, state: PlanningState, tid: str, best: HostEvaluation
-    ) -> float:
-        """Larger = scheduled earlier. Subclasses override."""
+    ) -> Any:
+        """Larger = scheduled earlier (any comparable). Subclasses override."""
         raise NotImplementedError
 
     def schedule(
@@ -65,7 +69,7 @@ class _ReadySetBudgScheduler(Scheduler):
             best_tid: Optional[str] = None
             best_ev: Optional[HostEvaluation] = None
             best_within = True
-            best_key: Optional[Tuple[float, int]] = None
+            best_key: Optional[Tuple[Any, int]] = None
             for tid in ready:
                 ev, within = get_best_host(state, tid, plan.share(tid) + pot)
                 key = (self._selection_key(state, tid, ev), -position[tid])

@@ -29,6 +29,7 @@ from concurrent.futures import CancelledError as FuturesCancelledError
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import (
@@ -145,6 +146,98 @@ def _noop_progress(stage: str, done: int, total: int) -> None:
     return None
 
 
+def family_base(
+    request: ScheduleRequest, *, publish_progress=_noop_progress
+) -> _FamilyBase:
+    """Resolve the specs and run the scheduler: the seed-independent step.
+
+    The batcher calls this once per spec family; :func:`compute_response`
+    once per request.
+    """
+    wf = request.workflow.resolve()
+    platform = request.platform.resolve()
+    budget = request.budget.resolve(wf, platform)
+    try:
+        result = make_scheduler(request.algorithm).schedule(
+            wf, platform, budget
+        )
+    except ReproError as exc:
+        raise ServiceError(
+            f"{request.algorithm} failed on {wf.name or 'workflow'}: {exc}"
+        ) from exc
+    publish_progress("scheduled", 1, 1)
+    spec = request.evaluation
+    cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
+    return _FamilyBase(
+        wf=wf, platform=platform, budget=budget, result=result, cap=cap
+    )
+
+
+def family_rep(
+    base: _FamilyBase, seed: int, *, check_deadline=_noop_deadline
+) -> Dict[str, Any]:
+    """One evaluation replication, a pure function of (family, seed).
+
+    The shard-plan contract — replication ``i`` samples weights
+    from ``evaluation.seed + i`` alone — is what lets requests with
+    overlapping seed ranges share these records bit-for-bit.
+    """
+    check_deadline()
+    run = execute_schedule(
+        base.wf, base.platform, base.result.schedule,
+        sample_weights(base.wf, rng=seed),
+        dc_capacity=base.cap, validate=False,
+    )
+    return {
+        "seed": seed,
+        "makespan": run.makespan,
+        "cost": run.total_cost,
+        "within_budget": run.respects_budget(base.budget),
+    }
+
+
+def assemble_response(
+    base: _FamilyBase,
+    reps: List[Dict[str, Any]],
+    request: ScheduleRequest,
+    *,
+    publish_progress=_noop_progress,
+) -> ScheduleResponse:
+    """Fold the family base and this request's replications into a response.
+
+    ``elapsed_s`` is left at 0 for the caller to stamp; replication dicts
+    are copied so callers mutating a response cannot corrupt the
+    batcher's shared cache.
+    """
+    spec = request.evaluation
+    evaluation: Optional[Dict[str, Any]] = None
+    if spec.n_reps > 0:
+        n_valid = sum(1 for rep in reps if rep["within_budget"])
+        evaluation = {
+            "n_reps": spec.n_reps,
+            "budget_success_rate": n_valid / spec.n_reps,
+            "makespan": _summary([rep["makespan"] for rep in reps]),
+            "cost": _summary([rep["cost"] for rep in reps]),
+            "reps": [dict(rep) for rep in reps],
+        }
+        publish_progress("evaluating", spec.n_reps, spec.n_reps)
+    return ScheduleResponse(
+        request_fingerprint=request.fingerprint(),
+        algorithm=base.result.algorithm,
+        budget=base.budget,
+        planned_makespan=base.result.planned_makespan,
+        planned_cost=base.result.planned_vm_cost,
+        within_budget_plan=base.result.within_budget_plan,
+        n_vms=base.result.schedule.n_vms,
+        n_tasks=base.wf.n_tasks,
+        workflow_name=base.wf.name,
+        schedule=schedule_to_dict(base.result.schedule),
+        evaluation=evaluation,
+        cached=False,
+        elapsed_s=0.0,
+    )
+
+
 def compute_response(
     request: ScheduleRequest,
     *,
@@ -161,84 +254,22 @@ def compute_response(
     ``(stage, done, total)`` updates.
     """
     started = time.perf_counter()
-    wf = request.workflow.resolve()
-    platform = request.platform.resolve()
-    budget = request.budget.resolve(wf, platform)
-    try:
-        result = make_scheduler(request.algorithm).schedule(
-            wf, platform, budget
-        )
-    except ReproError as exc:
-        raise ServiceError(
-            f"{request.algorithm} failed on {wf.name or 'workflow'}: {exc}"
-        ) from exc
-    publish_progress("scheduled", 1, 1)
-    evaluation = _evaluate_schedule(
-        request, wf, platform, result.schedule, budget,
-        check_deadline=check_deadline, publish_progress=publish_progress,
-    )
-    return ScheduleResponse(
-        request_fingerprint=request.fingerprint(),
-        algorithm=result.algorithm,
-        budget=budget,
-        planned_makespan=result.planned_makespan,
-        planned_cost=result.planned_vm_cost,
-        within_budget_plan=result.within_budget_plan,
-        n_vms=result.schedule.n_vms,
-        n_tasks=wf.n_tasks,
-        workflow_name=wf.name,
-        schedule=schedule_to_dict(result.schedule),
-        evaluation=evaluation,
-        cached=False,
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def _evaluate_schedule(
-    request, wf, platform, schedule, budget,
-    *,
-    check_deadline=_noop_deadline,
-    publish_progress=_noop_progress,
-) -> Optional[Dict[str, Any]]:
-    """Replay a schedule against ``n_reps`` sampled weight realizations."""
-    spec = request.evaluation
-    if spec.n_reps <= 0:
-        return None
-    cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
-    makespans: List[float] = []
-    costs: List[float] = []
-    n_valid = 0
+    base = family_base(request, publish_progress=publish_progress)
+    n_reps = request.evaluation.n_reps
+    # Progress granularity: ~4 updates per evaluation, never per-rep; the
+    # last one comes from assemble_response.
+    stride = max(1, n_reps // 4)
     reps: List[Dict[str, Any]] = []
-    # Progress granularity: ~4 updates per evaluation, never per-rep.
-    stride = max(1, spec.n_reps // 4)
-    for i in range(spec.n_reps):
-        check_deadline()
-        run = execute_schedule(
-            wf, platform, schedule,
-            sample_weights(wf, rng=spec.seed + i),
-            dc_capacity=cap, validate=False,
-        )
-        valid = run.respects_budget(budget)
-        n_valid += valid
-        makespans.append(run.makespan)
-        costs.append(run.total_cost)
-        reps.append(
-            {
-                "seed": spec.seed + i,
-                "makespan": run.makespan,
-                "cost": run.total_cost,
-                "within_budget": valid,
-            }
-        )
-        if (i + 1) % stride == 0 or i + 1 == spec.n_reps:
-            publish_progress("evaluating", i + 1, spec.n_reps)
-    return {
-        "n_reps": spec.n_reps,
-        "budget_success_rate": n_valid / spec.n_reps,
-        "makespan": _summary(makespans),
-        "cost": _summary(costs),
-        "reps": reps,
-    }
+    for i in range(n_reps):
+        reps.append(family_rep(
+            base, request.evaluation.seed + i, check_deadline=check_deadline
+        ))
+        if (i + 1) % stride == 0 and i + 1 < n_reps:
+            publish_progress("evaluating", i + 1, n_reps)
+    response = assemble_response(
+        base, reps, request, publish_progress=publish_progress
+    )
+    return replace(response, elapsed_s=time.perf_counter() - started)
 
 
 def _warmup(index: int) -> int:
@@ -445,7 +476,10 @@ class SchedulingService:
         )
         self._batcher = (
             FamilyBatcher(
-                self._family_base, self._family_rep, self._family_assemble
+                partial(family_base, publish_progress=self._publish_progress),
+                partial(family_rep, check_deadline=self._check_job_deadline),
+                partial(assemble_response,
+                        publish_progress=self._publish_progress),
             )
             if self.batching
             else None
@@ -1187,99 +1221,6 @@ class SchedulingService:
         if n_reps:
             self._publish_progress("evaluating", n_reps, n_reps)
         return response
-
-    # ------------------------------------------------------------------
-    # spec-family batching callables (see repro.admission.batcher)
-    # ------------------------------------------------------------------
-    def _family_base(self, request: ScheduleRequest) -> "_FamilyBase":
-        """Resolve + schedule once for a whole spec family.
-
-        Mirrors the first half of :func:`compute_response` exactly: same
-        resolution, same scheduler call, same error wrapping — so a
-        batched response is bit-identical to an unbatched one.
-        """
-        wf = request.workflow.resolve()
-        platform = request.platform.resolve()
-        budget = request.budget.resolve(wf, platform)
-        try:
-            result = make_scheduler(request.algorithm).schedule(
-                wf, platform, budget
-            )
-        except ReproError as exc:
-            raise ServiceError(
-                f"{request.algorithm} failed on "
-                f"{wf.name or 'workflow'}: {exc}"
-            ) from exc
-        self._publish_progress("scheduled", 1, 1)
-        spec = request.evaluation
-        cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
-        return _FamilyBase(
-            wf=wf, platform=platform, budget=budget, result=result, cap=cap
-        )
-
-    def _family_rep(self, base: "_FamilyBase", seed: int) -> Dict[str, Any]:
-        """One evaluation replication, a pure function of (family, seed).
-
-        The PR 5 shard-plan contract — replication ``i`` samples weights
-        from ``evaluation.seed + i`` alone — is what lets requests with
-        overlapping seed ranges share these records bit-for-bit.
-        """
-        self._check_job_deadline()
-        run = execute_schedule(
-            base.wf, base.platform, base.result.schedule,
-            sample_weights(base.wf, rng=seed),
-            dc_capacity=base.cap, validate=False,
-        )
-        valid = run.respects_budget(base.budget)
-        return {
-            "seed": seed,
-            "makespan": run.makespan,
-            "cost": run.total_cost,
-            "within_budget": valid,
-        }
-
-    def _family_assemble(
-        self,
-        base: "_FamilyBase",
-        reps: List[Dict[str, Any]],
-        request: ScheduleRequest,
-    ) -> ScheduleResponse:
-        """Fold shared family parts into this request's response.
-
-        Reconstructs exactly what :func:`compute_response` builds
-        (``elapsed_s`` excepted — the caller stamps wall time over it
-        either way); replication dicts are copied so callers mutating a
-        response cannot corrupt the shared cache.
-        """
-        spec = request.evaluation
-        evaluation: Optional[Dict[str, Any]] = None
-        if spec.n_reps > 0:
-            makespans = [rep["makespan"] for rep in reps]
-            costs = [rep["cost"] for rep in reps]
-            n_valid = sum(1 for rep in reps if rep["within_budget"])
-            evaluation = {
-                "n_reps": spec.n_reps,
-                "budget_success_rate": n_valid / spec.n_reps,
-                "makespan": _summary(makespans),
-                "cost": _summary(costs),
-                "reps": [dict(rep) for rep in reps],
-            }
-            self._publish_progress("evaluating", spec.n_reps, spec.n_reps)
-        return ScheduleResponse(
-            request_fingerprint=request.fingerprint(),
-            algorithm=base.result.algorithm,
-            budget=base.budget,
-            planned_makespan=base.result.planned_makespan,
-            planned_cost=base.result.planned_vm_cost,
-            within_budget_plan=base.result.within_budget_plan,
-            n_vms=base.result.schedule.n_vms,
-            n_tasks=base.wf.n_tasks,
-            workflow_name=base.wf.name,
-            schedule=schedule_to_dict(base.result.schedule),
-            evaluation=evaluation,
-            cached=False,
-            elapsed_s=0.0,
-        )
 
     def _record_run(
         self,

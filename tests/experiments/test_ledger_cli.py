@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.runner import convergence_diagnostics
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import LoadRunRow, RunLedger
 
 SWEEP = ["--smoke", "--tasks", "12", "--instances", "1", "--reps", "4",
          "--budgets", "2", "--families", "montage",
@@ -148,3 +148,48 @@ class TestRegressGate:
         code = main(["ledger", "regress", "--db", db, "--baseline", bench])
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().err
+
+
+class TestRegressBothKinds:
+    """A document with both ``ledger_baseline`` and ``load_baseline``."""
+
+    def make_db(self, tmp_path):
+        db = str(tmp_path / "runs.db")
+        run_sweep_into(db)
+        with RunLedger(db) as ledger:
+            ledger.record_load_run(LoadRunRow(
+                label="cli-load", n_requests=100, n_ok=100,
+                offered_rps=200.0, achieved_rps=200.0, duration_s=0.5,
+                latency_mean_s=0.005, latency_std_s=0.001,
+                p50_s=0.004, p95_s=0.008, p99_s=0.010,
+            ))
+        base = str(tmp_path / "base.json")
+        assert main(["ledger", "baseline", "--db", db, "--out", base]) == 0
+        doc = json.load(open(base))
+        assert doc["ledger_baseline"] and doc["load_baseline"]
+        return db, base, doc
+
+    def regress(self, db, base, *flags):
+        return main(["ledger", "regress", "--db", db, "--baseline", base]
+                    + list(flags))
+
+    def test_parity_exits_zero(self, tmp_path, capsys):
+        db, base, _ = self.make_db(tmp_path)
+        assert self.regress(db, base) == 0
+        out = capsys.readouterr().out
+        assert "cli-load" in out and "REGRESSED" not in out
+
+    def test_load_only_throughput_regression_exits_one(self, tmp_path, capsys):
+        db, base, doc = self.make_db(tmp_path)
+        doc["load_baseline"]["cli-load"]["achieved_rps"] *= 2.0  # -50% now
+        json.dump(doc, open(base, "w"))
+        assert self.regress(db, base) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+        assert self.regress(db, base, "--rps-threshold", "0.6") == 0
+
+    def test_load_only_p99_regression_exits_one(self, tmp_path, capsys):
+        db, base, doc = self.make_db(tmp_path)
+        doc["load_baseline"]["cli-load"]["p99_s"] /= 3.0  # tail now 3x
+        json.dump(doc, open(base, "w"))
+        assert self.regress(db, base) == 1
+        assert self.regress(db, base, "--p99-threshold", "4.0") == 0

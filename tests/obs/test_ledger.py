@@ -7,13 +7,11 @@ import pytest
 
 from repro.obs.events import EventBus
 from repro.obs.ledger import (
+    RUN_GATE,
     SCHEMA_VERSION,
     NullLedger,
     RunLedger,
     RunRow,
-    baseline_from_ledger,
-    compare_to_baseline,
-    extract_baseline,
     get_ledger,
     set_ledger,
     use_ledger,
@@ -186,15 +184,15 @@ class TestGroupStats:
                                    success_rate=None))
             stats = ledger.group_stats()
             assert "makespan" not in stats["montage/30/heft_budg"]
-            assert baseline_from_ledger(ledger) == {}
+            assert RUN_GATE.baseline(ledger) == {}
 
 
 class TestRegressionGate:
     def test_parity_is_ok(self):
         with RunLedger() as ledger:
             ledger.record(make_row())
-            baseline = baseline_from_ledger(ledger)
-            report = compare_to_baseline(ledger, baseline)
+            baseline = RUN_GATE.baseline(ledger)
+            report = RUN_GATE.compare(ledger, baseline)
         assert report.ok
         assert not report.regressions
         assert "ok" in report.render()
@@ -204,11 +202,11 @@ class TestRegressionGate:
             ledger.record(make_row(sim_makespan=120.0))
             baseline = {"montage/30/heft_budg": {
                 "makespan": 100.0, "cost": 0.38, "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline,
+            report = RUN_GATE.compare(ledger, baseline,
                                          makespan_threshold=0.10)
         assert not report.ok
         assert len(report.regressions) == 1
-        assert report.regressions[0].makespan_change == pytest.approx(0.20)
+        assert report.regressions[0].changes["makespan"] == pytest.approx(0.20)
         assert "REGRESSED" in report.render()
 
     def test_cost_regression_flags_independently(self):
@@ -216,7 +214,7 @@ class TestRegressionGate:
             ledger.record(make_row(sim_makespan=100.0, sim_cost=0.60))
             baseline = {"montage/30/heft_budg": {
                 "makespan": 100.0, "cost": 0.38, "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline)
+            report = RUN_GATE.compare(ledger, baseline)
         assert not report.ok and len(report.regressions) == 1
 
     def test_missing_group_reported_not_failed(self):
@@ -227,14 +225,14 @@ class TestRegressionGate:
                                          "n_runs": 1},
                 "ligo/90/bdt": {"makespan": 50.0, "cost": 1.0, "n_runs": 1},
             }
-            report = compare_to_baseline(ledger, baseline)
+            report = RUN_GATE.compare(ledger, baseline)
         assert report.missing_groups == ["ligo/90/bdt"]
         assert report.ok  # the matched group is fine
         assert "missing" in report.render()
 
     def test_empty_comparison_is_not_ok(self):
         with RunLedger() as ledger:
-            report = compare_to_baseline(
+            report = RUN_GATE.compare(
                 ledger, {"g/1/x": {"makespan": 1.0, "n_runs": 1}}
             )
         assert not report.ok
@@ -242,19 +240,19 @@ class TestRegressionGate:
 
     def test_extract_baseline_shapes(self):
         groups = {"montage/30/heft_budg": {"makespan": 1.0}}
-        assert extract_baseline({"ledger_baseline": groups}) == groups
-        assert extract_baseline(groups) == groups
+        assert RUN_GATE.extract({"ledger_baseline": groups}) == groups
+        assert RUN_GATE.extract(groups) == groups
         with pytest.raises(ValueError):
-            extract_baseline({"benchmarks": {"throughput": {"mean_s": 1.0}}})
+            RUN_GATE.extract({"benchmarks": {"throughput": {"mean_s": 1.0}}})
         with pytest.raises(ValueError):
-            extract_baseline({})
+            RUN_GATE.extract({})
 
     def test_baseline_json_roundtrip(self):
         with RunLedger() as ledger:
             ledger.record(make_row())
-            baseline = baseline_from_ledger(ledger)
+            baseline = RUN_GATE.baseline(ledger)
             doc = json.loads(json.dumps({"ledger_baseline": baseline}))
-            report = compare_to_baseline(ledger, extract_baseline(doc))
+            report = RUN_GATE.compare(ledger, RUN_GATE.extract(doc))
         assert report.ok
 
 
@@ -437,10 +435,10 @@ class TestSuccessGate:
             baseline = {"montage/30/heft_budg": {
                 "makespan": 110.0, "cost": 0.38, "success_rate": 1.0,
                 "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline)
+            report = RUN_GATE.compare(ledger, baseline)
         assert not report.ok and len(report.regressions) == 1
         delta = report.regressions[0]
-        assert delta.success_change == pytest.approx(-0.5)
+        assert delta.changes["success_rate"] == pytest.approx(-0.5)
         assert "REGRESSED" in report.render()
 
     def test_success_rate_improvement_is_ok(self):
@@ -449,7 +447,7 @@ class TestSuccessGate:
             baseline = {"montage/30/heft_budg": {
                 "makespan": 110.0, "cost": 0.38, "success_rate": 0.8,
                 "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline)
+            report = RUN_GATE.compare(ledger, baseline)
         assert report.ok
 
     def test_small_drop_within_threshold_is_ok(self):
@@ -458,7 +456,7 @@ class TestSuccessGate:
             baseline = {"montage/30/heft_budg": {
                 "makespan": 110.0, "cost": 0.38, "success_rate": 1.0,
                 "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline,
+            report = RUN_GATE.compare(ledger, baseline,
                                          success_threshold=0.05)
         assert report.ok
 
@@ -468,5 +466,5 @@ class TestSuccessGate:
             ledger.record(make_row(success_rate=None))
             baseline = {"montage/30/heft_budg": {
                 "makespan": 110.0, "cost": 0.38, "n_runs": 1}}
-            report = compare_to_baseline(ledger, baseline)
+            report = RUN_GATE.compare(ledger, baseline)
         assert report.ok

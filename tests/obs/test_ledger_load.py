@@ -6,13 +6,11 @@ import sqlite3
 import pytest
 
 from repro.obs.ledger import (
+    LOAD_GATE,
     SCHEMA_VERSION,
     LoadRunRow,
     NullLedger,
     RunLedger,
-    compare_load_to_baseline,
-    extract_load_baseline,
-    load_baseline_from_ledger,
 )
 
 
@@ -135,24 +133,24 @@ class TestBaselineGate:
             ledger.record_load_run(make_row("x", achieved=100.0))
             ledger.record_load_run(make_row("x", achieved=120.0))
             ledger.record_load_run(make_row("y", achieved=50.0))
-            baseline = load_baseline_from_ledger(ledger)
+            baseline = LOAD_GATE.baseline(ledger)
         assert set(baseline) == {"x", "y"}
         assert baseline["x"]["achieved_rps"] == pytest.approx(110.0)
         assert baseline["x"]["n_runs"] == 2
 
     def test_extract_requires_load_baseline_key(self):
         with pytest.raises(ValueError):
-            extract_load_baseline({"ledger_baseline": {}})
+            LOAD_GATE.extract({"ledger_baseline": {}})
         with pytest.raises(ValueError):
-            extract_load_baseline({"load_baseline": {"g": {"p99_s": 1.0}}})
+            LOAD_GATE.extract({"load_baseline": {"g": {"p99_s": 1.0}}})
         good = {"load_baseline": {"g": {"achieved_rps": 10.0}}}
-        assert extract_load_baseline(good)["g"]["achieved_rps"] == 10.0
+        assert LOAD_GATE.extract(good)["g"]["achieved_rps"] == 10.0
 
     def test_matching_current_passes(self, tmp_path):
         with RunLedger(str(tmp_path / "led.db")) as ledger:
             ledger.record_load_run(make_row())
-            baseline = load_baseline_from_ledger(ledger)
-            report = compare_load_to_baseline(ledger, baseline)
+            baseline = LOAD_GATE.baseline(ledger)
+            report = LOAD_GATE.compare(ledger, baseline)
         assert report.ok
         assert not report.regressions
         assert "ok" in report.render()
@@ -162,7 +160,7 @@ class TestBaselineGate:
                             "n_runs": 1}}
         with RunLedger(str(tmp_path / "led.db")) as ledger:
             ledger.record_load_run(make_row(achieved=100.0))
-            report = compare_load_to_baseline(ledger, baseline)
+            report = LOAD_GATE.compare(ledger, baseline)
         assert not report.ok
         assert report.regressions[0].group == "grp"
 
@@ -171,13 +169,13 @@ class TestBaselineGate:
                             "n_runs": 1}}
         with RunLedger(str(tmp_path / "led.db")) as ledger:
             ledger.record_load_run(make_row(p99=0.050))
-            report = compare_load_to_baseline(ledger, baseline)
+            report = LOAD_GATE.compare(ledger, baseline)
         assert not report.ok
 
     def test_missing_group_reported(self, tmp_path):
         baseline = {"ghost": {"achieved_rps": 10.0, "p99_s": 0.010}}
         with RunLedger(str(tmp_path / "led.db")) as ledger:
-            report = compare_load_to_baseline(ledger, baseline)
+            report = LOAD_GATE.compare(ledger, baseline)
         assert report.missing_groups == ["ghost"]
         assert not report.ok
 
@@ -192,7 +190,26 @@ class TestBaselineGate:
             ledger.record_load_run(
                 make_row(latency_mean_s=0.0052, latency_std_s=0.004)
             )
-            report = compare_load_to_baseline(ledger, baseline, stat=True)
+            report = LOAD_GATE.compare(ledger, baseline, stat=True)
         assert report.ok
         delta = report.deltas[0]
         assert delta.stat_tested
+
+    def test_stat_gate_flags_significant_latency_slowdown(self, tmp_path):
+        # +60% mean latency at n=100 a side is far outside the noise, yet
+        # p99 and throughput sit exactly at the baseline: only Welch sees it.
+        baseline = {"grp": {
+            "achieved_rps": 200.0, "p99_s": 0.010,
+            "latency_mean_s": 0.005, "latency_std_s": 0.004,
+            "n_samples": 100, "n_runs": 1,
+        }}
+        with RunLedger(str(tmp_path / "led.db")) as ledger:
+            ledger.record_load_run(
+                make_row(latency_mean_s=0.008, latency_std_s=0.004)
+            )
+            assert LOAD_GATE.compare(ledger, baseline).ok
+            report = LOAD_GATE.compare(ledger, baseline, stat=True)
+        assert not report.ok
+        delta = report.regressions[0]
+        assert delta.stat_tested and delta.t_stat > delta.t_crit > 0
+        assert "Welch" in report.render()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.obs.ledger import (
+    RUN_GATE,
     RunLedger,
     RunRow,
-    baseline_from_ledger,
-    compare_to_baseline,
     welch_slowdown,
 )
 from repro.obs.ledger import _t_quantile  # accuracy-checked directly
@@ -63,7 +62,7 @@ class TestPooledStats:
 
     def test_baseline_carries_sample_stats(self):
         with ledger_with([make_row(100.0, 15.0)]) as ledger:
-            baseline = baseline_from_ledger(ledger)
+            baseline = RUN_GATE.baseline(ledger)
         group = baseline[GROUP]
         assert group["n_samples"] == 20.0 and group["makespan_std"] > 0
 
@@ -71,15 +70,15 @@ class TestPooledStats:
 class TestWelchGate:
     def baseline(self):
         with ledger_with([make_row(100.0, 15.0) for _ in range(3)]) as led:
-            return baseline_from_ledger(led)
+            return RUN_GATE.baseline(led)
 
     def test_significant_slowdown_fails_even_below_fixed_threshold(self):
         # +8% is inside the default 10% fixed tolerance, but with n=60 a
         # side and std 15 the Welch t is ~3 — a real slowdown.
         base = self.baseline()
         with ledger_with([make_row(108.0, 15.0) for _ in range(3)]) as led:
-            assert compare_to_baseline(led, base).ok
-            report = compare_to_baseline(led, base, stat=True)
+            assert RUN_GATE.compare(led, base).ok
+            report = RUN_GATE.compare(led, base, stat=True)
         assert not report.ok
         delta = report.deltas[0]
         assert delta.stat_tested and delta.t_stat > delta.t_crit > 0
@@ -88,7 +87,7 @@ class TestWelchGate:
     def test_insignificant_wobble_passes(self):
         base = self.baseline()
         with ledger_with([make_row(101.0, 15.0) for _ in range(3)]) as led:
-            report = compare_to_baseline(led, base, stat=True)
+            report = RUN_GATE.compare(led, base, stat=True)
         assert report.ok and report.deltas[0].stat_tested
 
     def test_noisy_but_flat_group_passes_stat_fails_fixed(self):
@@ -97,8 +96,8 @@ class TestWelchGate:
         base = {k: dict(v, makespan_std=80.0) for k, v in
                 self.baseline().items()}
         with ledger_with([make_row(112.0, 80.0) for _ in range(3)]) as led:
-            assert not compare_to_baseline(led, base).ok
-            assert compare_to_baseline(led, base, stat=True).ok
+            assert not RUN_GATE.compare(led, base).ok
+            assert RUN_GATE.compare(led, base, stat=True).ok
 
     def test_groups_without_stats_fall_back_to_fixed_threshold(self):
         row = make_row(120.0, 15.0)
@@ -106,7 +105,7 @@ class TestWelchGate:
         base = {GROUP: {"makespan": 100.0, "cost": 1.0, "n_runs": 1,
                         "success_rate": 1.0}}
         with ledger_with([row]) as led:
-            report = compare_to_baseline(led, base, stat=True)
+            report = RUN_GATE.compare(led, base, stat=True)
         assert not report.ok  # +20% trips the fixed gate
         assert not report.deltas[0].stat_tested
 
@@ -116,13 +115,13 @@ class TestWelchGate:
         for row in rows:
             object.__setattr__(row, "sim_cost", 2.0)  # +100% cost
         with ledger_with(rows) as led:
-            report = compare_to_baseline(led, base, stat=True)
+            report = RUN_GATE.compare(led, base, stat=True)
         assert not report.ok
 
     def test_confidence_validated(self):
         with ledger_with([make_row(100.0, 15.0)]) as led:
             with pytest.raises(ValueError, match="confidence"):
-                compare_to_baseline(led, self.baseline(), stat=True,
+                RUN_GATE.compare(led, self.baseline(), stat=True,
                                     confidence=1.5)
 
 
